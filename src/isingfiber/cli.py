@@ -2,7 +2,8 @@
 
 Standard output carries exactly one JSON document or one table; progress and
 wall-clock notes go to standard error. Exit codes: 0 success, 1 usage or parse
-failure, 2 degenerate statistical outcome (no accepted trial).
+failure, 2 degenerate outcome (no accepted trial, or an LP screen that hit the
+simplex iteration limit).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .inference import EmptyFiberSampleError, run_exact_test
 from .models import AutologisticParams, IsingParams, gibbs_autologistic, gibbs_ising
 from .oracle import CapExceededError, enumerate_fiber, exact_pvalues
 from .sampler import SamplerConfig
+from .simplex import SimplexIterationLimit
 
 USAGE_EXIT = 1
 DEGENERATE_EXIT = 2
@@ -215,7 +217,7 @@ def main(argv=None) -> int:
     except (ParseError, CapExceededError, ValueError, OSError) as exc:
         _log(f"error: {exc}")
         return USAGE_EXIT
-    except EmptyFiberSampleError as exc:
+    except (EmptyFiberSampleError, SimplexIterationLimit) as exc:
         _log(f"error: {exc}")
         return DEGENERATE_EXIT
 

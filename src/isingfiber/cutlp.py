@@ -8,11 +8,17 @@ outside by the triangle inequalities through w over every grid edge plus the
 eight square inequalities per unit square, so LP feasibility and LP cell
 bounds are sound: they never exclude a genuine completion, but may fail to
 exclude an impossible one.
+
+The sampler's feasibility check runs on raster states, whose rows depend on
+the determined values only through their right-hand side. Those rows are
+built once per (rows, cols, k) as a StateTemplate, and each check only maps
+the window of the last cols + 1 determined cells to b_ub.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -212,7 +218,7 @@ def _presolve(problem: LPProblem):
 
 
 def solve_lp(problem: LPProblem) -> LPOutcome:
-    """Deterministic solve: presolve pins, then dense two-phase simplex."""
+    """Deterministic solve: presolve pins, then the two-phase simplex."""
     if problem.n_vars < 1:
         raise ValueError("LP needs at least one variable")
     pre = _presolve(problem)
@@ -328,130 +334,142 @@ def suspension_semimetric(table) -> np.ndarray:
     return np.concatenate([e1, e2])
 
 
-def state_lp_feasible(
-    rows: int,
-    cols: int,
-    prefix: Sequence[int],
-    stats: SuffStats,
-    pin: int | None = None,
-) -> bool:
-    """LP feasibility of a raster-prefix state, optionally extended by one value.
+@dataclass(frozen=True)
+class StateTemplate:
+    """The constraint rows of every raster state with k determined cells.
 
-    Equivalent to solving the full build_lp problem, but assembles only the
-    rows that touch an undetermined cell: constraints entirely inside the
-    determined region hold automatically because the determined part induces a
-    genuine cut semimetric. This keeps the check cheap late in a large table,
-    which is the only regime where the sampler triggers it.
+    Variables are the apex edges of the free cells [k, mn), then the grid
+    edges with a free endpoint, in edge order. Rows are the four triangle
+    inequalities of each free edge in edge order, then the eight inequalities
+    of each unit square holding a free edge, all as `<=` rows. Only the right
+    hand side depends on the determined values, and only through the window
+    of cells [lo, k), lo = max(k-cols-1, 0): a triangle row sees a determined
+    endpoint of a free edge, a square row the discords of its determined
+    edges, and both lie inside the window. So b_ub = b0 + M @ f, where f holds
+    the window values followed by the discords of the window edges (ea, eb).
     """
+
+    width: int  # window cells, k - lo
+    n_cells: int  # free cells
+    n_edges: int  # grid edges with a free endpoint
+    A_ub: np.ndarray
+    A_eq: np.ndarray
+    b0: np.ndarray
+    M: np.ndarray
+    ea: np.ndarray  # window-local endpoints of the window edges in M
+    eb: np.ndarray
+    zeros: np.ndarray  # the objective of a feasibility check
+    ones: np.ndarray  # the upper bounds
+
+    def b_ub(self, window: int) -> np.ndarray:
+        """Right-hand side for a window whose bit j is the value of cell lo + j."""
+        raw = np.frombuffer(window.to_bytes((self.width + 7) // 8, "little"), dtype=np.uint8)
+        x = np.unpackbits(raw, count=self.width, bitorder="little")
+        return self.b0 + self.M @ np.concatenate((x, x[self.ea] ^ x[self.eb]))
+
+
+# the triangle rows of edge uv as <= rows: (sign on u, sign on v, sign on uv, rhs)
+_TRIANGLES = ((1, 1, 1, 2.0), (-1, -1, 1, 0.0), (-1, 1, -1, 0.0), (1, -1, -1, 0.0))
+
+
+@lru_cache(maxsize=128)
+def state_template(rows: int, cols: int, k: int) -> StateTemplate:
+    """The cached StateTemplate of the rows x cols grid with k determined cells."""
     topo = topology(rows, cols)
     n = topo.n_cells
-    values = list(prefix)
-    if pin is not None:
-        values.append(pin)
-    k = len(values)
-    if k > n:
-        raise ValueError("prefix longer than grid")
+    if not 0 <= k < n:
+        raise ValueError(f"need 0 <= k < {n}, got {k}")
+    lo = max(k - cols - 1, 0)
+    width = k - lo
+    n_cells = n - k
+    # edges are stored with the lower raster index first
+    free_edges = [e for e, (_, v) in enumerate(topo.edges) if v >= k]
+    var = {e: n_cells + i for i, e in enumerate(free_edges)}
+    nf = n_cells + len(free_edges)
+    window_edges: dict[int, int] = {}
 
-    ones_det = sum(values)
-    if k == n:
-        discord = sum(values[a] != values[b] for a, b in topo.edges)
-        return ones_det == stats.t1 and discord == stats.t2
-
-    # variables: apex edges of free cells, then grid edges with a free endpoint
-    free_cells = list(range(k, n))
-    cell_pos = {c: i for i, c in enumerate(free_cells)}
-    free_edges = []
-    edge_pos = {}
-    discord_det = 0
-    for ordinal, (u, v) in enumerate(topo.edges):
-        if u < k and v < k:
-            discord_det += values[u] != values[v]
-        else:
-            edge_pos[ordinal] = len(free_cells) + len(free_edges)
-            free_edges.append(ordinal)
-    nf = len(free_cells) + len(free_edges)
-
-    r1 = stats.t1 - ones_det
-    r2 = stats.t2 - discord_det
-    if r1 < 0 or r1 > len(free_cells) or r2 < 0 or r2 > len(free_edges):
-        return False
-
-    def cell_term(c):
-        # (column, coefficient 1.0) for a free cell, or a constant for a determined one
-        if c >= k:
-            return cell_pos[c], None
-        return None, float(values[c])
-
-    A_ub_rows, b_ub = [], []
-
-    def add(entries, rel, rhs):
-        row = np.zeros(nf)
-        for col, coef in entries:
-            row[col] += coef
-        if rel == ">=":
-            row, rhs = -row, -rhs
-        A_ub_rows.append(row)
-        b_ub.append(rhs)
-
-    for ordinal in free_edges:
-        u, v = topo.edges[ordinal]
-        ecol = edge_pos[ordinal]
-        ucol, uval = cell_term(u)
-        vcol, vval = cell_term(v)
-        for su_, sv, se, rel, rhs in (
-            (1, 1, 1, "<=", 2.0),
-            (1, 1, -1, ">=", 0.0),
-            (1, -1, 1, ">=", 0.0),
-            (-1, 1, 1, ">=", 0.0),
-        ):
-            entries = [(ecol, float(se))]
-            r = rhs
-            if ucol is None:
-                r -= su_ * uval
-            else:
-                entries.append((ucol, float(su_)))
-            if vcol is None:
-                r -= sv * vval
-            else:
-                entries.append((vcol, float(sv)))
-            add(entries, rel, r)
-
-    for square in topo.squares:
-        if not any(e in edge_pos for e in square):
-            continue
-        consts = []
-        for e in square:
-            if e in edge_pos:
-                consts.append(None)
-            else:
-                u, v = topo.edges[e]
-                consts.append(float(abs(values[u] - values[v])))
-        for minus in range(4):
-            entries = []
-            hi_rhs, lo_rhs = 2.0, 0.0
-            for i, e in enumerate(square):
-                sign = -1.0 if i == minus else 1.0
-                if consts[i] is None:
-                    entries.append((edge_pos[e], sign))
+    # each row as ({variable: coef}, {window feature: coef}, rhs)
+    lp_rows: list[tuple[dict, dict, float]] = []
+    for e in free_edges:
+        u, v = topo.edges[e]
+        for su, sv, se, rhs in _TRIANGLES:
+            a, m = {var[e]: se}, {}
+            for cell, sign in ((u, su), (v, sv)):
+                if cell >= k:
+                    a[cell - k] = sign
                 else:
-                    hi_rhs -= sign * consts[i]
-                    lo_rhs -= sign * consts[i]
-            add(entries, "<=", hi_rhs)
-            add(entries, ">=", lo_rhs)
+                    m[cell - lo] = -sign
+            lp_rows.append((a, m, rhs))
+    for square in topo.squares:
+        if not any(e in var for e in square):
+            continue
+        for e in square:
+            if e not in var:
+                window_edges.setdefault(e, len(window_edges))
+        for minus in range(4):
+            signs = [-1.0 if i == minus else 1.0 for i in range(4)]
+            for direction, rhs in ((1.0, 2.0), (-1.0, 0.0)):
+                a, m = {}, {}
+                for e, sign in zip(square, signs):
+                    if e in var:
+                        a[var[e]] = direction * sign
+                    else:
+                        m[width + window_edges[e]] = -direction * sign
+                lp_rows.append((a, m, rhs))
+
+    def dense(part: int, n_cols: int) -> np.ndarray:
+        out = np.zeros((len(lp_rows), n_cols))
+        for i, row in enumerate(lp_rows):
+            for j, coef in row[part].items():
+                out[i, j] = coef
+        return out
 
     A_eq = np.zeros((2, nf))
-    A_eq[0, : len(free_cells)] = 1.0
-    for ordinal in free_edges:
-        A_eq[1, edge_pos[ordinal]] = 1.0
-    b_eq = np.array([float(r1), float(r2)])
+    A_eq[0, :n_cells] = 1.0
+    A_eq[1, n_cells:] = 1.0
+    ends = [topo.edges[e] for e in window_edges]
+    tpl = StateTemplate(
+        width=width,
+        n_cells=n_cells,
+        n_edges=len(free_edges),
+        A_ub=dense(0, nf),
+        A_eq=A_eq,
+        b0=np.array([rhs for _, _, rhs in lp_rows]),
+        M=dense(1, width + len(window_edges)),
+        ea=np.array([a - lo for a, _ in ends], dtype=np.intp),
+        eb=np.array([b - lo for _, b in ends], dtype=np.intp),
+        zeros=np.zeros(nf),
+        ones=np.ones(nf),
+    )
+    # every caller shares the cached arrays
+    for arr in vars(tpl).values():
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return tpl
 
-    A_ub = np.array(A_ub_rows) if A_ub_rows else np.zeros((0, nf))
+
+def state_lp_feasible(rows: int, cols: int, k: int, window: int, r1: int, r2: int) -> bool:
+    """LP feasibility of a raster state: k determined cells, r1 ones and r2
+    discords left to place, and `window` holding the values of the cells
+    [lo, k), lo = max(k-cols-1, 0), with bit j the value of cell lo + j.
+
+    Equivalent to solving the full build_lp problem: constraints entirely
+    inside the determined region hold automatically, because the determined
+    part induces a genuine cut semimetric, and every other row is a row of
+    state_template(rows, cols, k). The arguments are exactly what the LP
+    depends on, so they are a complete cache key.
+    """
+    if k == rows * cols:
+        return r1 == 0 and r2 == 0
+    tpl = state_template(rows, cols, k)
+    if r1 < 0 or r1 > tpl.n_cells or r2 < 0 or r2 > tpl.n_edges:
+        return False
     res = solve_canonical(
-        np.zeros(nf),
-        A_ub,
-        np.array(b_ub) if b_ub else np.zeros(0),
-        A_eq,
-        b_eq,
-        np.ones(nf),
+        tpl.zeros,
+        tpl.A_ub,
+        tpl.b_ub(window),
+        tpl.A_eq,
+        np.array([float(r1), float(r2)]),
+        tpl.ones,
     )
     return res.status == "optimal"

@@ -85,9 +85,11 @@ def _pvalues_arrays(
 ) -> tuple[float, float]:
     w = _weights_arrays(accepted, log_q)[accepted]
     p1 = min(max(float(w[stat_acc > observed].sum()), 0.0), 1.0)
-    ties = float(w[stat_acc == observed].sum())
+    if not (stat_acc < observed).any():
+        # the whole mass, which the normalized weights sum to only up to rounding
+        return p1, 1.0
     # p2 = p1 + tie mass keeps p1 <= p2 exact under floating rounding
-    p2 = min(p1 + max(ties, 0.0), 1.0)
+    p2 = min(p1 + float(w[stat_acc == observed].sum()), 1.0)
     return p1, p2
 
 

@@ -175,33 +175,23 @@ def _single_one_feasible(topo, cells, idx: int, v: int, f1_after: int, r2p: int)
 
 
 def _lp_feasible_cached(
-    rows: int,
-    cols: int,
-    cells,
-    idx: int,
-    v: int,
-    r1p: int,
-    r2p: int,
-    stats: SuffStats,
-    lp_cache: dict | None,
+    rows: int, cols: int, cells, idx: int, v: int, r1p: int, r2p: int, lp_cache: dict | None
 ) -> bool:
-    """LP feasibility of the prefix extended with v, memoized by the reduced
-    problem's identity: the free suffix starts at idx+1, so the LP depends
-    only on (idx, r1p, r2p) and the trailing window of cols+1 determined
-    values (every kept triangle or square row lives inside that window)."""
-    if lp_cache is None:
-        return state_lp_feasible(rows, cols, cells[:idx], stats, pin=v)
+    """LP feasibility of the prefix extended with v, memoized by the key
+    (k, window, r1, r2) that state_lp_feasible takes: k = idx + 1, and the
+    window holds the last cols + 1 determined values, v among them."""
     lo = idx - cols
     if lo < 0:
         lo = 0
-    bits = v
-    for i in range(lo, idx):
-        bits = (bits << 1) | cells[i]
-    key = (idx, r1p, r2p, bits)
+    window = v
+    for i in range(idx - 1, lo - 1, -1):
+        window = (window << 1) | cells[i]
+    key = (idx + 1, window, r1p, r2p)
+    if lp_cache is None:
+        return state_lp_feasible(rows, cols, *key)
     ok = lp_cache.get(key)
     if ok is None:
-        ok = state_lp_feasible(rows, cols, cells[:idx], stats, pin=v)
-        lp_cache[key] = ok
+        ok = lp_cache[key] = state_lp_feasible(rows, cols, *key)
     return ok
 
 
@@ -269,7 +259,7 @@ def feasible_values(
                 and r2p <= config.lp_ratio_threshold * max(r1p, 1)
             ):
                 if not _lp_feasible_cached(
-                    state.rows, state.cols, state.cells, idx, v, r1p, r2p, stats, lp_cache
+                    state.rows, state.cols, state.cells, idx, v, r1p, r2p, lp_cache
                 ):
                     continue
         out.append(v)
@@ -480,7 +470,7 @@ def run_trial(
                         and r2p <= lp_ratio * max(r1p, 1)
                     ):
                         if not _lp_feasible_cached(
-                            rows, cols, cells, idx, v, r1p, r2p, stats, lp_cache
+                            rows, cols, cells, idx, v, r1p, r2p, lp_cache
                         ):
                             continue
                 feas |= 1 << v

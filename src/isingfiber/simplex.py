@@ -1,10 +1,20 @@
-"""Dense two-phase simplex for the small box-bounded LPs built over cut polytopes.
+"""Two-phase simplex on a condensed tableau, for the small box-bounded LPs built
+over cut polytopes.
 
 Solves  minimize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  0 <= x <= ub.
-Upper bounds are handled as explicit rows, all tie-breaking is by lowest index,
-and the pivot rule falls back to Bland's rule after a stall, so the solver is
-deterministic and cannot cycle. Problem sizes here stay within a few hundred
-rows, where a dense tableau is the simplest reliable choice.
+Finite upper bounds become rows `x_j <= ub_j`. The tableau is condensed
+(Tucker form): one row per constraint and one column per nonbasic variable,
+with `basic` and `nonbasic` label arrays naming the variable each row and
+column stands for. A pivot therefore updates rows x nonbasic entries, not the
+rows x (variables + slacks + artificials) block of a full tableau, and the
+entries it does compute are the ones a full tableau would hold.
+
+The pivot rules refer to variable labels, so they choose what a full tableau
+would choose: Dantzig's entering rule with ties to the lowest label, the ratio
+test with ties to the lowest basic label, and Bland's rule after STALL_LIMIT
+pivots without progress, so the solver is deterministic and cannot cycle.
+Phase 2 is skipped when c is all zeros, which makes a feasibility check a
+single phase.
 """
 
 from __future__ import annotations
@@ -19,6 +29,10 @@ STALL_LIMIT = 100
 MAX_ITER = 50_000
 
 
+class SimplexIterationLimit(RuntimeError):
+    """A simplex phase ran MAX_ITER pivots without reaching an optimum."""
+
+
 @dataclass
 class SimplexResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -26,52 +40,56 @@ class SimplexResult:
     x: np.ndarray | None = None
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
+def _pivot(T: np.ndarray, basic: np.ndarray, nonbasic: np.ndarray, row: int, col: int) -> None:
+    """Exchange basic[row] and nonbasic[col]; the leaving variable takes over column col."""
+    p = T[row, col]
+    pivot_row = T[row] / p
+    pivot_row[col] = 1.0 / p
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
     T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
+    T -= factors[:, None] * pivot_row
+    T[row] = pivot_row
+    basic[row], nonbasic[col] = nonbasic[col], basic[row]
 
 
-def _choose_entering(z: np.ndarray, allowed: int, bland: bool) -> int | None:
-    reduced = z[:allowed]
+def _choose_entering(z: np.ndarray, nonbasic: np.ndarray, bland: bool) -> int | None:
     if bland:
-        idx = np.nonzero(reduced < -PIVOT_TOL)[0]
-        return int(idx[0]) if idx.size else None
-    j = int(np.argmin(reduced))
-    return j if reduced[j] < -PIVOT_TOL else None
-
-
-def _choose_leaving(T: np.ndarray, basis: np.ndarray, col: int) -> int | None:
-    coefs = T[:-1, col]
-    rhs = T[:-1, -1]
-    eligible = coefs > PIVOT_TOL
-    if not eligible.any():
+        idx = (z < -PIVOT_TOL).nonzero()[0]
+        return int(idx[nonbasic[idx].argmin()]) if idx.size else None
+    if not z.size:
         return None
-    ratios = np.full(coefs.shape, np.inf)
-    ratios[eligible] = rhs[eligible] / coefs[eligible]
-    best = ratios.min()
-    ties = np.nonzero(ratios <= best + PIVOT_TOL)[0]
+    j = z.argmin()
+    if not z[j] < -PIVOT_TOL:
+        return None
+    ties = (z == z[j]).nonzero()[0]
+    return int(ties[nonbasic[ties].argmin()]) if ties.size > 1 else int(j)
+
+
+def _choose_leaving(T: np.ndarray, basic: np.ndarray, col: int) -> int | None:
+    coefs = T[:-1, col]
+    eligible = (coefs > PIVOT_TOL).nonzero()[0]
+    if not eligible.size:
+        return None
+    ratios = T[eligible, -1] / coefs[eligible]
+    ties = eligible[ratios <= ratios.min() + PIVOT_TOL]
     # Bland-compatible tie-break: smallest basic variable index
-    return int(ties[np.argmin(basis[ties])])
+    return int(ties[basic[ties].argmin()]) if ties.size > 1 else int(ties[0])
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, allowed: int) -> str:
-    """Iterate to optimality over columns [0, allowed). Returns 'optimal' or 'unbounded'."""
+def _run_simplex(T: np.ndarray, basic: np.ndarray, nonbasic: np.ndarray) -> str:
+    """Iterate to optimality over every column. Returns 'optimal' or 'unbounded'."""
     bland = False
     stall = 0
     last_obj = T[-1, -1]
     for _ in range(MAX_ITER):
-        col = _choose_entering(T[-1], allowed, bland)
+        col = _choose_entering(T[-1, :-1], nonbasic, bland)
         if col is None:
             return "optimal"
-        row = _choose_leaving(T, basis, col)
+        row = _choose_leaving(T, basic, col)
         if row is None:
             return "unbounded"
-        _pivot(T, basis, row, col)
+        _pivot(T, basic, nonbasic, row, col)
         if not bland:
             # T[-1, -1] holds minus the objective, so progress pushes it up
             if T[-1, -1] > last_obj + PIVOT_TOL:
@@ -81,7 +99,15 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, allowed: int) -> str:
                 stall += 1
                 if stall > STALL_LIMIT:
                     bland = True
-    raise RuntimeError("simplex iteration limit exceeded")
+    raise SimplexIterationLimit(f"simplex iteration limit ({MAX_ITER} pivots) exceeded")
+
+
+def _basic_solution(T: np.ndarray, basic: np.ndarray, n: int) -> np.ndarray:
+    x = np.zeros(n)
+    structural = basic < n
+    x[basic[structural]] = T[:-1, -1][structural]
+    np.clip(x, 0.0, None, out=x)
+    return x
 
 
 def solve_canonical(
@@ -100,77 +126,67 @@ def solve_canonical(
             return SimplexResult("optimal", 0.0, np.zeros(0))
         return SimplexResult("infeasible")
 
-    finite_ub = np.nonzero(np.isfinite(ub))[0]
-    A1 = np.vstack([A_ub, np.eye(n)[finite_ub]]) if finite_ub.size else A_ub
-    b1 = np.concatenate([b_ub, ub[finite_ub]]) if finite_ub.size else b_ub
+    # labels: x_j is j, the slack of inequality row r is n + r, and the k-th
+    # artificial is n + n_ub + k
+    finite_ub = np.flatnonzero(np.isfinite(ub))
+    A = np.vstack([A_ub, np.eye(n)[finite_ub], A_eq])
+    b = np.concatenate([b_ub, ub[finite_ub], b_eq])
+    n_ub = A_ub.shape[0] + finite_ub.size
+    m = A.shape[0]
+    first_art = n + n_ub
 
-    n_ub, n_eq = A1.shape[0], A_eq.shape[0]
-    m = n_ub + n_eq
-    A = np.vstack([A1, A_eq]) if n_eq else A1
-    b = np.concatenate([b1, b_eq]) if n_eq else b1
-    is_ineq = np.zeros(m, dtype=bool)
-    is_ineq[:n_ub] = True
-
-    # slack per inequality row; flip rows to make rhs nonnegative
-    slack_sign = np.where(is_ineq, 1.0, 0.0)
+    # flip rows to make rhs nonnegative; a flipped inequality's slack enters
+    # with coefficient -1 and cannot start in the basis
     flip = b < 0
-    A = np.where(flip[:, None], -A, A)
-    b = np.where(flip, -b, b)
-    slack_sign = np.where(flip, -slack_sign, slack_sign)
+    A[flip] = -A[flip]
+    b[flip] = -b[flip]
+    needs_art = flip.copy()
+    needs_art[n_ub:] = True
+    art_rows = np.flatnonzero(needs_art)
+    flipped_ineq = np.flatnonzero(flip[:n_ub])
 
-    # artificial for every row whose slack cannot serve as the initial basic var
-    needs_art = ~(is_ineq & ~flip)
-    art_rows = np.nonzero(needs_art)[0]
-    n_slack, n_art = n_ub, art_rows.size
-    width = n + n_slack + n_art + 1
-
-    T = np.zeros((m + 1, width))
+    T = np.zeros((m + 1, n + flipped_ineq.size + 1))
     T[:m, :n] = A
-    for r in range(n_ub):
-        T[r, n + r] = slack_sign[r]
-    for k, r in enumerate(art_rows):
-        T[r, n + n_slack + k] = 1.0
+    T[flipped_ineq, n + np.arange(flipped_ineq.size)] = -1.0
     T[:m, -1] = b
-
-    basis = np.empty(m, dtype=np.intp)
-    basis[~needs_art] = n + np.nonzero(~needs_art)[0]
-    basis[art_rows] = n + n_slack + np.arange(n_art)
+    nonbasic = np.concatenate([np.arange(n), n + flipped_ineq])
+    basic = n + np.arange(m)
+    basic[art_rows] = first_art + np.arange(art_rows.size)
 
     # phase 1: minimize the sum of artificials
-    T[-1] = 0.0
-    T[-1, n + n_slack : n + n_slack + n_art] = 1.0
-    for r in art_rows:
-        T[-1] -= T[r]
-    status = _run_simplex(T, basis, n + n_slack + n_art)
+    T[-1] = -T[art_rows].sum(axis=0)
+    status = _run_simplex(T, basic, nonbasic)
     if status != "optimal" or -T[-1, -1] > FEAS_TOL:
         return SimplexResult("infeasible")
+    if not c.any():
+        x = _basic_solution(T, basic, n)
+        return SimplexResult("optimal", float(c @ x), x)
 
     # drive leftover artificials out of the basis, dropping redundant rows
-    keep = np.ones(m, dtype=bool)
+    keep = np.ones(m + 1, dtype=bool)
     for r in range(m):
-        if basis[r] >= n + n_slack:
-            piv_cols = np.nonzero(np.abs(T[r, : n + n_slack]) > PIVOT_TOL)[0]
-            if piv_cols.size:
-                _pivot(T, basis, r, int(piv_cols[0]))
+        if basic[r] >= first_art:
+            cols = np.flatnonzero((np.abs(T[r, :-1]) > PIVOT_TOL) & (nonbasic < first_art))
+            if cols.size:
+                _pivot(T, basic, nonbasic, r, int(cols[np.argmin(nonbasic[cols])]))
             else:
                 keep[r] = False
-    if not keep.all():
-        T = np.vstack([T[:-1][keep], T[-1:]])
-        basis = basis[keep]
+    # artificial columns are barred from phase 2, so drop them
+    keep_cols = np.append(nonbasic < first_art, True)
+    T = T[keep][:, keep_cols]
+    basic = basic[keep[:m]]
+    nonbasic = nonbasic[keep_cols[:-1]]
 
-    # phase 2 on the true objective, artificial columns barred
+    # phase 2 on the true objective
     T[-1] = 0.0
-    T[-1, :n] = c
-    for r, bv in enumerate(basis):
+    structural = nonbasic < n
+    T[-1, :-1][structural] = c[nonbasic[structural]]
+    for r, bv in enumerate(basic):
         if bv < n and abs(c[bv]) > 0:
             T[-1] -= c[bv] * T[r]
-    status = _run_simplex(T, basis, n + n_slack)
+    status = _run_simplex(T, basic, nonbasic)
     if status == "unbounded":
         return SimplexResult("unbounded")
 
-    x = np.zeros(n)
-    for r, bv in enumerate(basis):
-        if bv < n:
-            x[bv] = T[r, -1]
-    np.clip(x, 0.0, None, out=x)
+    x = _basic_solution(T, basic, n)
     return SimplexResult("optimal", float(c @ x), x)

@@ -159,6 +159,18 @@ class TestTest:
         assert out == ""
         assert "empty fiber sample" in err
 
+    def test_simplex_iteration_limit_exits_two(self, capsys, tmp_path, monkeypatch):
+        import isingfiber.simplex
+
+        monkeypatch.setattr(isingfiber.simplex, "MAX_ITER", 1)
+        path = tmp_path / "t.txt"
+        path.write_text("1111\n0100\n0000\n0000\n")  # (t1, t2) = (5, 6) runs the LP screen
+        code, out, err = run_cli(capsys, "test", str(path), "-n", "20")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "iteration limit" in err
+        assert "Traceback" not in err
+
     def test_thread_count_does_not_change_output(self, capsys, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("100\n010\n001\n")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from isingfiber.cutlp import (
     CellBounds,
@@ -10,6 +11,7 @@ from isingfiber.cutlp import (
     cut_semimetric,
     solve_lp,
     state_lp_feasible,
+    state_template,
     suspension_semimetric,
     violates_cut_inequalities,
 )
@@ -20,6 +22,16 @@ from isingfiber.sampler import PartialTable
 
 def P(rows, cols, prefix=()):
     return PartialTable.from_prefix(rows, cols, prefix)
+
+
+def state_key(rows, cols, prefix, stats):
+    """(k, window, r1, r2) of a raster prefix, the arguments of state_lp_feasible
+    after (rows, cols): window bit j is the value of cell max(k-cols-1, 0) + j."""
+    k = len(prefix)
+    lo = max(k - cols - 1, 0)
+    window = sum(v << (i - lo) for i, v in enumerate(prefix[lo:], start=lo))
+    discord = sum(prefix[a] != prefix[b] for a, b in topology(rows, cols).edges if b < k)
+    return k, window, stats.t1 - sum(prefix), stats.t2 - discord
 
 
 class TestSuspensionIndex:
@@ -220,14 +232,80 @@ class TestStateFeasibility:
             stats = keys[rng.integers(0, len(keys))]
             k = int(rng.integers(0, 10))
             prefix = tuple(int(v) for v in rng.integers(0, 2, k))
-            fast = state_lp_feasible(3, 3, prefix, stats)
+            fast = state_lp_feasible(3, 3, *state_key(3, 3, prefix, stats))
             full = solve_lp(build_lp(P(3, 3, prefix), stats, 0, "min")).status == "optimal"
             assert fast == full, (stats, prefix)
 
     def test_complete_state(self):
-        assert state_lp_feasible(2, 2, (1, 0, 0, 1), SuffStats(2, 4))
-        assert not state_lp_feasible(2, 2, (1, 0, 0, 1), SuffStats(2, 3))
+        assert state_lp_feasible(2, 2, *state_key(2, 2, (1, 0, 0, 1), SuffStats(2, 4)))
+        assert not state_lp_feasible(2, 2, *state_key(2, 2, (1, 0, 0, 1), SuffStats(2, 3)))
 
     def test_pin_argument(self):
-        assert state_lp_feasible(2, 2, (), SuffStats(4, 0), pin=1)
-        assert not state_lp_feasible(2, 2, (), SuffStats(4, 0), pin=0)
+        # the newest determined cell is the top bit of the window
+        assert state_lp_feasible(2, 2, *state_key(2, 2, (1,), SuffStats(4, 0)))
+        assert not state_lp_feasible(2, 2, *state_key(2, 2, (0,), SuffStats(4, 0)))
+
+
+class TestStateTemplate:
+    def test_cached_per_shape(self):
+        assert state_template(4, 4, 9) is state_template(4, 4, 9)
+        assert state_template(4, 4, 9) is not state_template(4, 4, 10)
+
+    def test_rows_of_the_empty_state(self):
+        # with nothing determined the template is build_lp's inequality block
+        tpl = state_template(3, 3, 0)
+        lp = build_lp(P(3, 3), SuffStats(1, 2), 0, "min")
+        assert tpl.A_ub.shape == (len(lp.ineqs), lp.n_vars)
+        for row, b, (coeffs, rel, rhs) in zip(tpl.A_ub, tpl.b_ub(0), lp.ineqs):
+            sign = 1.0 if rel == "<=" else -1.0
+            dense = np.zeros(lp.n_vars)
+            for v, c in coeffs:
+                dense[v] = sign * c
+            assert np.array_equal(row, dense) and b == sign * rhs
+
+    def test_window_out_of_range(self):
+        with pytest.raises(ValueError):
+            state_template(2, 2, 4)
+
+
+class TestStateVerdictsAgainstReferences:
+    """Seeded late-prefix states: the verdict equals HiGHS on the same rows, and
+    a state with a brute-force completion is never declared infeasible."""
+
+    @pytest.mark.parametrize("rows, cols", [(4, 4), (3, 6)])
+    def test_late_prefix_states(self, rows, cols):
+        rng = np.random.default_rng(rows * 10 + cols)
+        n = rows * cols
+        verdicts = []
+        for _ in range(6):
+            cells = tuple(int(v) for v in rng.random(n) < rng.uniform(0.2, 0.5))
+            stats = SuffStats.of(BinaryTable(rows, cols, cells))
+            members = [m.cells for m in fiber_members(rows, cols, stats)]
+            for _ in range(30):
+                k = int(rng.integers(n - 12, n))
+                prefix = list(members[rng.integers(len(members))][:k])
+                for i in rng.integers(0, k, int(rng.integers(0, 3))):
+                    prefix[i] ^= 1
+                prefix = tuple(prefix)
+                key = state_key(rows, cols, prefix, stats)
+                got = state_lp_feasible(rows, cols, *key)
+                if any(m[:k] == prefix for m in members):
+                    assert got, (stats, prefix)
+                _, window, r1, r2 = key
+                tpl = state_template(rows, cols, k)
+                if not (0 <= r1 <= tpl.n_cells and 0 <= r2 <= tpl.n_edges):
+                    assert not got
+                    continue
+                ref = linprog(
+                    np.zeros(tpl.A_ub.shape[1]),
+                    A_ub=tpl.A_ub,
+                    b_ub=tpl.b_ub(window),
+                    A_eq=tpl.A_eq,
+                    b_eq=[r1, r2],
+                    bounds=(0, 1),
+                    method="highs",
+                )
+                assert ref.status in (0, 2)
+                assert got == (ref.status == 0), (stats, prefix)
+                verdicts.append(got)
+        assert len(verdicts) >= 100 and 0 < sum(verdicts) < len(verdicts)

@@ -77,6 +77,15 @@ class TestPvalues:
         assert p1 <= p2
         assert p2 - p1 == pytest.approx(float(w[stats == 2].sum()), abs=1e-12)
 
+    def test_p2_is_one_when_no_draw_lies_below(self):
+        # no table of these 3x3 fibers has u < 0, so the exact p2 is 1; summing
+        # normalized weights above and at the observed value gave 1 - 2**-52
+        for stats, seed in ((SuffStats(1, 4), 0), (SuffStats(1, 2), 1), (SuffStats(2, 4), 1)):
+            batch = collect_trials(3, 3, stats, SamplerConfig(), seed=seed, n_trials=200)
+            report = report_from_batch(batch, "u", 0)
+            assert report.p2 == 1.0
+            assert report.p1 <= report.p2
+
     def test_stat_count_mismatch(self):
         with pytest.raises(ValueError):
             estimate_pvalues([accept(0.0), reject()], [1, 2], 1)

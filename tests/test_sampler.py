@@ -272,3 +272,31 @@ class TestLPPruningNeutrality:
             report = report_from_batch(batch, "u", 1)
             assert report.p1 == pytest.approx(exact_p1, abs=0.02)
             assert report.p2 == pytest.approx(exact_p2, abs=0.02)
+
+
+class TestLPCacheKey:
+    @pytest.mark.parametrize("rows, cols", [(4, 4), (6, 6)])
+    def test_cached_and_uncached_trials_agree(self, rows, cols, monkeypatch):
+        # the LP cache key (k, window, r1, r2) is complete: reusing a cached
+        # verdict never changes a trial
+        import isingfiber.sampler as sampler
+
+        calls = []
+        solve = sampler.state_lp_feasible
+        monkeypatch.setattr(sampler, "state_lp_feasible", lambda *key: calls.append(key) or solve(*key))
+        rng = np.random.default_rng(rows * cols)
+        n = rows * cols
+        cached_calls = uncached_calls = 0
+        for seed in range(4):
+            cells = tuple(int(v) for v in rng.random(n) < 0.3)
+            stats = SuffStats.of(BinaryTable(rows, cols, cells))
+            uniforms = uniform_rows(seed, n, 0, 60)
+            lp_cache = {}
+            for i in range(60):
+                calls.clear()
+                cached = run_trial(rows, cols, stats, CFG, uniforms[i], lp_cache)
+                cached_calls += len(calls)
+                calls.clear()
+                assert run_trial(rows, cols, stats, CFG, uniforms[i], None) == cached
+                uncached_calls += len(calls)
+        assert 0 < cached_calls < uncached_calls
