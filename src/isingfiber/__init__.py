@@ -15,7 +15,7 @@ from .cutlp import CellBounds, LPOutcome, LPProblem, SuspensionIndex, build_lp, 
 from .inference import TestReport, run_exact_test
 from .models import AutologisticParams, IsingParams, gibbs_autologistic, gibbs_ising
 from .oracle import FiberSummary, enumerate_fiber, exact_pvalues
-from .sampler import Draw, PartialTable, SamplerConfig, replay_log_q, sample_table
+from .sampler import Draw, PartialTable, SamplerConfig, replay_log_q
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "parse_table",
     "replay_log_q",
     "run_exact_test",
-    "sample_table",
     "solve_lp",
     "t1",
     "t2",

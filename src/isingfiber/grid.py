@@ -181,6 +181,26 @@ class GridTopology:
             self.determined_edges[k] = acc_dd
             self.frontier_edges[k] = self.n_edges - acc_ff - acc_dd
 
+        # the constants of the sampler's step at cell k, one tuple per cell:
+        # (k, cells after k, up, left, forward degree, determined neighbours,
+        # then, after k is placed: edges not yet determined, free-free and
+        # frontier edges, and the cells of degree 4)
+        self.raster_steps = [
+            (
+                k,
+                n - 1 - k,
+                self.up[k],
+                self.left[k],
+                self.fwd_degree[k],
+                (self.up[k] >= 0) + (self.left[k] >= 0),
+                self.n_edges - self.determined_edges[k + 1],
+                self.free_free_edges[k + 1],
+                self.frontier_edges[k + 1],
+                self._suffix_deg[4][k + 1],
+            )
+            for k in range(n)
+        ]
+
     def toggle_capacity(self, start: int, k: int) -> int:
         """Max number of edge flips achievable by placing k ones among cells >= start
         (the sum of the k largest cell degrees in that suffix)."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import BinaryTable, SuffStats, u_prime_stat, u_stat
-from .sampler import SamplerConfig, run_trial, uniform_rows
+from .sampler import SamplerConfig, new_step_cache, run_trial, uniform_rows
 
 
 class EmptyFiberSampleError(RuntimeError):
@@ -37,6 +37,8 @@ class TestReport:
     ess: float
     fiber_size_estimate: float
     fiber_size_se: float
+    log_fiber_size_estimate: float  # natural log; finite where the estimate is inf
+    log_fiber_size_se: float  # delta-method SE of the log: fiber_size_se / fiber_size_estimate
     observed_stat: int
     stat_name: str
 
@@ -52,6 +54,8 @@ class TestReport:
             "ess": self.ess,
             "fiber_size_estimate": self.fiber_size_estimate,
             "fiber_size_se": self.fiber_size_se,
+            "log_fiber_size_estimate": self.log_fiber_size_estimate,
+            "log_fiber_size_se": self.log_fiber_size_se,
             "observed_stat": self.observed_stat,
             "stat_name": self.stat_name,
             "seed": seed,
@@ -84,9 +88,12 @@ def _pvalues_arrays(
     accepted: np.ndarray, log_q: np.ndarray, stat_acc: np.ndarray, observed: int
 ) -> tuple[float, float]:
     w = _weights_arrays(accepted, log_q)[accepted]
-    p1 = min(max(float(w[stat_acc > observed].sum()), 0.0), 1.0)
+    above = stat_acc > observed
+    # the whole mass is 1 exactly; the normalized weights sum to it only up to rounding
+    if above.all():
+        return 1.0, 1.0
+    p1 = min(max(float(w[above].sum()), 0.0), 1.0)
     if not (stat_acc < observed).any():
-        # the whole mass, which the normalized weights sum to only up to rounding
         return p1, 1.0
     # p2 = p1 + tie mass keeps p1 <= p2 exact under floating rounding
     p2 = min(p1 + float(w[stat_acc == observed].sum()), 1.0)
@@ -101,12 +108,16 @@ def _cv2_arrays(accepted: np.ndarray, log_q: np.ndarray) -> float:
     return float(s.var(ddof=1) / mean**2)
 
 
-def _fiber_size_arrays(accepted: np.ndarray, log_q: np.ndarray) -> tuple[float, float]:
+def _fiber_size_arrays(
+    accepted: np.ndarray, log_q: np.ndarray
+) -> tuple[float, float, float, float]:
+    """(estimate, se, log estimate, se of the log). The logs are computed from
+    the shifted weights, so they stay finite where the estimate overflows."""
     n = accepted.size
     if n < 2:
         raise ValueError("fiber-size estimate needs at least two trials")
     if not accepted.any():
-        return 0.0, 0.0
+        return 0.0, 0.0, -math.inf, 0.0
     neg = -log_q[accepted]
     shift = float(neg.max())
     s = np.zeros(n)
@@ -115,11 +126,12 @@ def _fiber_size_arrays(accepted: np.ndarray, log_q: np.ndarray) -> tuple[float, 
     sd = float(s.std(ddof=1))
     log_est = shift + math.log(mean)
     estimate = math.exp(log_est) if log_est <= 709.0 else math.inf
-    se = 0.0
+    se = se_of_log = 0.0
     if sd > 0:
         log_se = shift + math.log(sd) - 0.5 * math.log(n)
         se = math.exp(log_se) if log_se <= 709.0 else math.inf
-    return estimate, se
+        se_of_log = math.exp(log_se - log_est)
+    return estimate, se, log_est, se_of_log
 
 
 def draws_to_arrays(draws) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +177,7 @@ def estimate_fiber_size(draws) -> tuple[float, float]:
     """Unbiased fiber-size estimate: mean of the raw 1/q weights, with its
     standard error; (0, 0) when nothing was accepted."""
     accepted, log_q = draws_to_arrays(draws)
-    return _fiber_size_arrays(accepted, log_q)
+    return _fiber_size_arrays(accepted, log_q)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +245,9 @@ def _worker(args):
     rows, cols, t1, t2, config_kwargs, seed, start, stop = args
     stats = SuffStats(t1, t2)
     config = SamplerConfig(**config_kwargs)
-    lp_cache: dict = {}
-    step_cache: dict | None = {} if rows * cols <= 25 else None
-    return start, _run_range(rows, cols, stats, config, seed, start, stop, lp_cache, step_cache)
+    return start, _run_range(
+        rows, cols, stats, config, seed, start, stop, {}, new_step_cache(rows, cols)
+    )
 
 
 def collect_trials(
@@ -263,9 +275,8 @@ def collect_trials(
     stat_up = np.full(n_trials, -1, dtype=np.int32)
 
     if workers <= 1:
-        lp_cache: dict = {}
-        step_cache: dict | None = {} if rows * cols <= 25 else None
-        parts = [(0, _run_range(rows, cols, stats, config, seed, 0, n_trials, lp_cache, step_cache))]
+        step_cache = new_step_cache(rows, cols)
+        parts = [(0, _run_range(rows, cols, stats, config, seed, 0, n_trials, {}, step_cache))]
     else:
         chunk = max(1, -(-n_trials // (workers * 4)))
         jobs = [
@@ -294,7 +305,7 @@ def report_from_batch(batch: TrialBatch, stat_name: str, observed: int) -> TestR
         batch.accepted, batch.log_q, batch.stat_for_accepted(stat_name), observed
     )
     c2 = _cv2_arrays(batch.accepted, batch.log_q)
-    size_est, size_se = _fiber_size_arrays(batch.accepted, batch.log_q)
+    size_est, size_se, log_size, log_size_se = _fiber_size_arrays(batch.accepted, batch.log_q)
     n = batch.n_trials
     return TestReport(
         n_trials=n,
@@ -306,6 +317,8 @@ def report_from_batch(batch: TrialBatch, stat_name: str, observed: int) -> TestR
         ess=ess(n, c2),
         fiber_size_estimate=size_est,
         fiber_size_se=size_se,
+        log_fiber_size_estimate=log_size,
+        log_fiber_size_se=log_size_se,
         observed_stat=observed,
         stat_name=stat_name,
     )

@@ -1,13 +1,14 @@
 """Sequential cell-by-cell sampling of tables with fixed (t1, t2).
 
-Cells are filled in raster order. At each cell the candidate values are
-screened by sound feasibility arguments (counting, a discord-budget window,
-exact small-endgame analysis, and close to the end an LP feasibility check
-over the cut-polytope relaxation); the surviving values are then weighted by a
-Gaussian approximation of how many fiber completions each branch leaves open,
-which keeps the remaining discord budget tracking its achievable mean. Every
-conditional probability is recorded exactly, so the proposal probability of an
-accepted table can be replayed bit-for-bit.
+Cells are filled in raster order by one step loop, `run_trial`. At each cell
+both candidate values are screened by sound feasibility arguments (counting, a
+discord-budget window, exact single-one analysis, and close to the end an LP
+feasibility check over the cut-polytope relaxation); when both survive they
+are weighted by a Gaussian approximation of how many fiber completions each
+branch leaves open, which keeps the remaining discord budget tracking its
+achievable mean. Every conditional probability is recorded exactly.
+`replay_log_q` runs the same loop with forcing uniforms, so the log proposal
+probability of an accepted table replays bit for bit by construction.
 
 All screens are sound (they never exclude a value that still admits a fiber
 completion), which makes the proposal strictly positive on the whole fiber;
@@ -195,204 +196,11 @@ def _lp_feasible_cached(
     return ok
 
 
-def feasible_values(
-    state: PartialTable,
-    stats: SuffStats,
-    config: SamplerConfig,
-    lp_cache: dict | None = None,
-) -> tuple[int, ...]:
-    """Values at the next cell that pass every enabled screen.
-
-    Counting: the ones still to place must fit in the remaining cells. Discord
-    budget: the remaining discord r2' can differ from the frontier baseline f1
-    (the discord the all-zero completion would add) by at most the number of
-    edge flips the remaining ones can cause (the sum of the r1' largest free
-    degrees); with r1' = 0 this forces r2' == f1 exactly, and with r1' = 1 the
-    unique placement problem is solved exactly. LP: when at most
-    lp_cell_threshold cells remain undetermined and r2' is small relative to
-    r1', the cut-polytope relaxation of the extended state must be feasible.
-    Every screen is sound, so an excluded value admits no fiber completion.
-    In naive mode only the counting screen applies.
-    """
-    if state.next_index >= state.rows * state.cols:
-        raise ValueError("state has no unknown cell")
-    topo = topology(state.rows, state.cols)
-    idx = state.next_index
-    n = topo.n_cells
-    rc_after = n - idx - 1
-    up, lf = topo.up[idx], topo.left[idx]
-    uv = state.cells[up] if up >= 0 else UNKNOWN
-    lv = state.cells[lf] if lf >= 0 else UNKNOWN
-
-    out = []
-    for v in (0, 1):
-        r1p = stats.t1 - state.placed_ones - v
-        if r1p < 0 or r1p > rc_after:
-            continue
-        if not config.naive_proposal:
-            disc_after = (
-                state.discord
-                + (1 if (uv != UNKNOWN and v != uv) else 0)
-                + (1 if (lv != UNKNOWN and v != lv) else 0)
-            )
-            r2p = stats.t2 - disc_after
-            det_after = state.det_edges + (up >= 0) + (lf >= 0)
-            if r2p < 0 or r2p > topo.n_edges - det_after:
-                continue
-            f1_after = (
-                state.frontier_ones
-                - (1 if uv == 1 else 0)
-                - (1 if lv == 1 else 0)
-                + v * topo.fwd_degree[idx]
-            )
-            diff = abs(r2p - f1_after)
-            if diff > r1p and diff > topo.toggle_capacity(idx + 1, r1p):
-                continue
-            exact_one = r1p == 1 and rc_after <= EXACT_ONE_LIMIT
-            if exact_one:
-                if not _single_one_feasible(topo, state.cells, idx, v, f1_after, r2p):
-                    continue
-            elif (
-                r1p >= 1
-                and config.lp_enabled
-                and rc_after <= config.lp_cell_threshold
-                and r2p <= config.lp_ratio_threshold * max(r1p, 1)
-            ):
-                if not _lp_feasible_cached(
-                    state.rows, state.cols, state.cells, idx, v, r1p, r2p, lp_cache
-                ):
-                    continue
-        out.append(v)
-    return tuple(out)
-
-
-def _branch_probs(
-    r1: int,
-    rc: int,
-    r2p0: int,
-    f1a0: int,
-    r2p1: int,
-    f1a1: int,
-    eff1: int,
-    fro1: int,
-    scale: float,
-    eps: float,
-) -> tuple[float, float]:
-    """Exact (P[0], P[1]) when both values are feasible.
-
-    Each branch is weighted by the counting base (remaining-ones density) times
-    a Gaussian likelihood of the remaining discord budget under independent
-    random placement of the remaining ones: free-free edges are discordant
-    with rate 2p(1-p), frontier edges with rate p or 1-p depending on their
-    determined endpoint. Probabilities are floored at eps so every feasible
-    branch keeps positive probability.
-    """
-    rc_after = rc - 1
-    mu = r1 / rc
-
-    p = (r1 - 1) / rc_after
-    q2 = 2.0 * p * (1.0 - p)
-    m = eff1 * q2 + (fro1 - f1a1) * p + f1a1 * (1.0 - p)
-    var = (eff1 * q2 * (1.0 - q2) + fro1 * p * (1.0 - p)) * scale + VAR_FLOOR
-    lw1 = log(mu) - (r2p1 - m) ** 2 / (2.0 * var) - 0.5 * log(var)
-
-    p = r1 / rc_after
-    q2 = 2.0 * p * (1.0 - p)
-    m = eff1 * q2 + (fro1 - f1a0) * p + f1a0 * (1.0 - p)
-    var = (eff1 * q2 * (1.0 - q2) + fro1 * p * (1.0 - p)) * scale + VAR_FLOOR
-    lw0 = log(1.0 - mu) - (r2p0 - m) ** 2 / (2.0 * var) - 0.5 * log(var)
-
-    d = lw0 - lw1
-    if d > 36.0:
-        p1 = eps
-    elif d < -36.0:
-        p1 = 1.0 - eps
-    else:
-        p1 = 1.0 / (1.0 + exp(d))
-        p1 = min(max(p1, eps), 1.0 - eps)
-    return 1.0 - p1, p1
-
-
-def _after_state(state: PartialTable, v: int) -> tuple[int, int]:
-    topo = topology(state.rows, state.cols)
-    idx = state.next_index
-    up, lf = topo.up[idx], topo.left[idx]
-    uv = state.cells[up] if up >= 0 else UNKNOWN
-    lv = state.cells[lf] if lf >= 0 else UNKNOWN
-    disc_after = (
-        state.discord
-        + (1 if (uv != UNKNOWN and v != uv) else 0)
-        + (1 if (lv != UNKNOWN and v != lv) else 0)
-    )
-    f1_after = (
-        state.frontier_ones
-        - (1 if uv == 1 else 0)
-        - (1 if lv == 1 else 0)
-        + v * topo.fwd_degree[idx]
-    )
-    return disc_after, f1_after
-
-
-def branch_probabilities(
-    state: PartialTable, stats: SuffStats, config: SamplerConfig
-) -> tuple[float, float]:
-    """Exact (P[0], P[1]) used when both values are feasible."""
-    topo = topology(state.rows, state.cols)
-    idx = state.next_index
-    r1 = stats.t1 - state.placed_ones
-    rc = topo.n_cells - idx
-    if config.naive_proposal:
-        p1 = r1 / rc
-        return 1.0 - p1, p1
-    d0, f0 = _after_state(state, 0)
-    d1, f1 = _after_state(state, 1)
-    return _branch_probs(
-        r1,
-        rc,
-        stats.t2 - d0,
-        f0,
-        stats.t2 - d1,
-        f1,
-        topo.free_free_edges[idx + 1],
-        topo.frontier_edges[idx + 1],
-        _var_scale(topo.n_edges),
-        config.rho_clamp,
-    )
-
-
-def propose_cell(
-    state: PartialTable,
-    stats: SuffStats,
-    config: SamplerConfig,
-    feasible: tuple[int, ...],
-    rng: np.random.Generator,
-) -> tuple[int, float]:
-    """Sample the next cell value from the engineered conditional.
-
-    Returns the value together with its exact realized probability; a
-    singleton feasible set is a forced move with probability one.
-    """
-    if not feasible:
-        raise ValueError("feasible set is empty")
-    if len(feasible) == 1:
-        return feasible[0], 1.0
-    p0, p1 = branch_probabilities(state, stats, config)
-    v = 1 if rng.random() < p1 else 0
-    return v, (p1 if v else p0)
-
-
-def sample_table(
-    stats: SuffStats,
-    rows: int,
-    cols: int,
-    config: SamplerConfig,
-    rng: np.random.Generator,
-    lp_cache: dict | None = None,
-) -> Draw:
-    """Run one sequential trial; each cell consumes one uniform from `rng`."""
-    stats.validate_for(rows, cols)
-    uniforms = rng.random(rows * cols)
-    return run_trial(rows, cols, stats, config, uniforms, lp_cache)
+def new_step_cache(rows: int, cols: int) -> dict | None:
+    """A fresh step cache for run_trial on grids of at most
+    STEP_CACHE_CELL_LIMIT cells, where exact prefixes recur across trials;
+    None (no cache) on larger grids."""
+    return {} if rows * cols <= STEP_CACHE_CELL_LIMIT else None
 
 
 def run_trial(
@@ -404,124 +212,161 @@ def run_trial(
     lp_cache: dict | None = None,
     step_cache: dict | None = None,
 ) -> Draw:
-    """One trial driven by a per-cell uniform vector (the hot path).
+    """One trial driven by one uniform per cell: the sampler's only step.
 
-    Inlines the screens and proposal arithmetic of feasible_values /
-    branch_probabilities; replay_log_q pins the two code paths together.
-    step_cache, keyed by the exact determined prefix, memoizes per-step
-    decisions; it is only worth carrying on small grids where prefixes recur
-    across trials.
+    At each raster cell the screens run for value 0, then for value 1:
+    counting (the ones still to place fit in the cells after it), the discord
+    budget (the remaining discord r2' is nonnegative and fits in the edges not
+    yet determined), toggle capacity (r2' differs from the frontier baseline
+    f1, the discord the all-zero completion would add, by at most what the r1'
+    remaining ones can flip: the sum of the r1' largest free degrees), then
+    either the exact single-one check (r1' = 1) or, when at most
+    lp_cell_threshold cells remain and r2' <= lp_ratio_threshold * r1', the LP
+    check through state_lp_feasible. Naive mode keeps only counting. When both
+    values pass, value 1 is taken iff the cell's uniform is below P[1], and
+    the taken branch's probability enters log_q; a single feasible value is a
+    forced move.
+
+    step_cache, keyed by the exact determined prefix, memoizes each step's
+    verdicts, P[1] and state updates; it pays only on small grids, where
+    prefixes recur across trials (see new_step_cache).
     """
     topo = topology(rows, cols)
-    n = topo.n_cells
-    t1, t2 = stats.t1, stats.t2
-    ups, lefts, fwd = topo.up, topo.left, topo.fwd_degree
     capacity = topo.toggle_capacity
-    eff_arr, fro_arr = topo.free_free_edges, topo.frontier_edges
-    total_edges = topo.n_edges
     naive = config.naive_proposal
-    lp_on = config.lp_enabled and not naive
-    lp_cells = config.lp_cell_threshold
+    # LP checks need rc_after <= lp_cells; -1 switches them off
+    lp_cells = config.lp_cell_threshold if config.lp_enabled and not naive else -1
     lp_ratio = config.lp_ratio_threshold
     eps = config.rho_clamp
-    scale = _var_scale(total_edges)
+    one_minus_eps = 1.0 - eps
+    scale = _var_scale(topo.n_edges)
+    var_floor = VAR_FLOOR
+    us = uniforms.tolist() if isinstance(uniforms, np.ndarray) else uniforms
 
+    n = topo.n_cells
     cells = [0] * n
-    bits = 0
-    placed = disc = det_e = f1 = 0
+    r1, r2 = stats.t1, stats.t2  # ones and discord still to place
+    f1 = 0  # frontier edges whose determined endpoint is a one
     log_q = 0.0
+    key = 1  # step-cache key: a leading 1, then the values placed so far
+    p1 = 1.0  # P[1]; read only where both values pass
 
-    for idx in range(n):
-        key = (idx, bits)
-        step = step_cache.get(key) if step_cache is not None else None
+    for idx, rc_after, up, lf, fw, nb_det, open_after, eff1, fro1, deg4 in topo.raster_steps:
+        step = None if step_cache is None else step_cache.get(key)
         if step is None:
-            rc_after = n - idx - 1
-            up, lf = ups[idx], lefts[idx]
-            uv = cells[up] if up >= 0 else UNKNOWN
-            lv = cells[lf] if lf >= 0 else UNKNOWN
-            nb_det = (up >= 0) + (lf >= 0)
-            f1_base = f1 - (1 if uv == 1 else 0) - (1 if lv == 1 else 0)
-
-            feas = 0  # bitmask over {0,1}
-            upd = [None, None]
-            for v in (0, 1):
-                r1p = t1 - placed - v
-                if r1p < 0 or r1p > rc_after:
-                    continue
-                d_add = (1 if (uv != UNKNOWN and v != uv) else 0) + (
-                    1 if (lv != UNKNOWN and v != lv) else 0
-                )
-                disc_after = disc + d_add
-                f1_after = f1_base + v * fwd[idx]
-                if not naive:
-                    r2p = t2 - disc_after
-                    if r2p < 0 or r2p > total_edges - det_e - nb_det:
-                        continue
-                    diff = abs(r2p - f1_after)
-                    if diff > r1p and diff > capacity(idx + 1, r1p):
-                        continue
-                    if r1p == 1 and rc_after <= EXACT_ONE_LIMIT:
-                        if not _single_one_feasible(topo, cells, idx, v, f1_after, r2p):
-                            continue
-                    elif (
-                        r1p >= 1
-                        and lp_on
-                        and rc_after <= lp_cells
-                        and r2p <= lp_ratio * max(r1p, 1)
-                    ):
-                        if not _lp_feasible_cached(
-                            rows, cols, cells, idx, v, r1p, r2p, lp_cache
-                        ):
-                            continue
-                feas |= 1 << v
-                upd[v] = (disc_after, f1_after)
-
-            if feas == 3:
-                r1 = t1 - placed
-                rc = n - idx
-                if naive:
-                    p1 = r1 / rc
-                    p0 = 1.0 - p1
-                else:
-                    p0, p1 = _branch_probs(
-                        r1,
-                        rc,
-                        t2 - upd[0][0],
-                        upd[0][1],
-                        t2 - upd[1][0],
-                        upd[1][1],
-                        eff_arr[idx + 1],
-                        fro_arr[idx + 1],
-                        scale,
-                        eps,
-                    )
+            # r2p and f1a: remaining discord and frontier ones after placing
+            # 0 or 1; a missing neighbour (-1) reads the last cell, still 0 here
+            ones = cells[up] + cells[lf]
+            r2p0 = r2 - ones
+            f1a0 = f1 - ones
+            r2p1 = r2 - nb_det + ones
+            f1a1 = f1a0 + fw
+            # value 0: r1' = r1
+            if r1 > rc_after:
+                ok0 = False
+            elif naive:
+                ok0 = True
+            elif r2p0 < 0 or r2p0 > open_after:
+                ok0 = False
             else:
-                p1 = p0 = 1.0
-            step = (feas, p1, p0, nb_det, upd[0], upd[1])
-            if step_cache is not None:
-                step_cache[key] = step
+                diff = abs(r2p0 - f1a0)
+                if diff > r1 and diff > (4 * r1 if r1 <= deg4 else capacity(idx + 1, r1)):
+                    ok0 = False
+                elif r1 == 1 and rc_after <= EXACT_ONE_LIMIT:
+                    ok0 = _single_one_feasible(topo, cells, idx, 0, f1a0, r2p0)
+                elif r1 and rc_after <= lp_cells and r2p0 <= lp_ratio * r1:
+                    ok0 = _lp_feasible_cached(rows, cols, cells, idx, 0, r1, r2p0, lp_cache)
+                else:
+                    ok0 = True
+            # value 1: r1' = r1 - 1
+            r1p = r1 - 1
+            if r1p < 0 or r1p > rc_after:
+                ok1 = False
+            elif naive:
+                ok1 = True
+            elif r2p1 < 0 or r2p1 > open_after:
+                ok1 = False
+            else:
+                diff = abs(r2p1 - f1a1)
+                if diff > r1p and diff > (4 * r1p if r1p <= deg4 else capacity(idx + 1, r1p)):
+                    ok1 = False
+                elif r1p == 1 and rc_after <= EXACT_ONE_LIMIT:
+                    ok1 = _single_one_feasible(topo, cells, idx, 1, f1a1, r2p1)
+                elif r1p and rc_after <= lp_cells and r2p1 <= lp_ratio * r1p:
+                    ok1 = _lp_feasible_cached(rows, cols, cells, idx, 1, r1p, r2p1, lp_cache)
+                else:
+                    ok1 = True
 
-        feas, p1, p0, nb_det, upd0, upd1 = step
-        if feas == 0:
-            return Draw.reject(idx)
-        if feas == 3:
-            if uniforms[idx] < p1:
+            if ok0 and ok1:
+                if naive:
+                    p1 = r1 / (rc_after + 1)
+                else:
+                    # Gaussian branch weight: the counting base (remaining-ones
+                    # density) times a Gaussian likelihood of the remaining
+                    # discord under independent random placement of the
+                    # remaining ones, where free-free edges are discordant
+                    # with rate 2p(1-p) and frontier edges with rate p or 1-p
+                    # by their determined endpoint. Keep the operation order:
+                    # another order changes the low bits of P[1], and with
+                    # them the draws for a fixed seed.
+                    mu = r1 / (rc_after + 1)
+                    p = r1p / rc_after
+                    omp = 1.0 - p
+                    q2 = 2.0 * p * omp
+                    e = eff1 * q2
+                    m = e + (fro1 - f1a1) * p + f1a1 * omp
+                    var = (e * (1.0 - q2) + fro1 * p * omp) * scale + var_floor
+                    lw1 = log(mu) - (r2p1 - m) ** 2 / (2.0 * var) - 0.5 * log(var)
+                    p = r1 / rc_after
+                    omp = 1.0 - p
+                    q2 = 2.0 * p * omp
+                    e = eff1 * q2
+                    m = e + (fro1 - f1a0) * p + f1a0 * omp
+                    var = (e * (1.0 - q2) + fro1 * p * omp) * scale + var_floor
+                    lw0 = log(1.0 - mu) - (r2p0 - m) ** 2 / (2.0 * var) - 0.5 * log(var)
+                    # P[1] floored at eps on both sides keeps q > 0 on the fiber
+                    d = lw0 - lw1
+                    if d > 36.0:
+                        p1 = eps
+                    elif d < -36.0:
+                        p1 = one_minus_eps
+                    else:
+                        p1 = 1.0 / (1.0 + exp(d))
+                        if p1 < eps:
+                            p1 = eps
+                        elif p1 > one_minus_eps:
+                            p1 = one_minus_eps
+            if step_cache is not None:
+                step_cache[key] = (ok0, ok1, p1, r2p0, f1a0, r2p1, f1a1)
+        else:
+            ok0, ok1, p1, r2p0, f1a0, r2p1, f1a1 = step
+
+        if ok0 and ok1:
+            if us[idx] < p1:
                 v = 1
                 log_q += log(p1)
             else:
                 v = 0
-                log_q += log(p0)
+                log_q += log(1.0 - p1)
+        elif ok1:
+            v = 1
+        elif ok0:
+            v = 0
         else:
-            v = feas >> 1  # 1 iff only value 1 is feasible
+            return Draw.reject(idx)
 
-        disc, f1 = upd1 if v else upd0
         if v:
             cells[idx] = 1
-            bits |= 1 << idx
-            placed += 1
-        det_e += nb_det
+            r1 -= 1
+            r2 = r2p1
+            f1 = f1a1
+        else:
+            r2 = r2p0
+            f1 = f1a0
+        if step_cache is not None:
+            key = key + key + v
 
-    if placed != t1 or disc != t2:
+    if r1 or r2:
         return Draw.reject(n)
     return Draw.accept(BinaryTable(rows, cols, tuple(cells)), log_q)
 
@@ -533,10 +378,15 @@ class OffFiberError(ValueError):
 def replay_log_q(
     table: BinaryTable, stats: SuffStats, config: SamplerConfig, lp_cache: dict | None = None
 ) -> float:
-    """Recompute the exact log proposal probability of an on-fiber table.
+    """The exact log proposal probability of an on-fiber table.
 
-    Walks the raster order through the public screening and proposal
-    operations; matches the log_q of an accepted Draw bit-for-bit.
+    Runs run_trial with forcing uniforms, 0.0 at a one and 1.0 at a zero.
+    Where both values are feasible, rho_clamp keeps P[1] inside
+    [eps, 1 - eps] (and naive P[1] lies strictly between 0 and 1), so the
+    uniform takes the table's value; a forced move takes the only feasible
+    one. The trial therefore follows the table exactly when every one of its
+    values passes the screens, and its log_q is the table's bit for bit.
+    Raises OffFiberError naming the first cell the trial cannot follow.
     """
     from .grid import t1 as stat_t1, t2 as stat_t2
 
@@ -544,18 +394,16 @@ def replay_log_q(
         raise OffFiberError(
             f"table has stats ({stat_t1(table)}, {stat_t2(table)}), expected {stats}"
         )
-    state = PartialTable.empty(table.rows, table.cols)
-    log_q = 0.0
-    for idx in range(table.rows * table.cols):
-        v = table.cells[idx]
-        feasible = feasible_values(state, stats, config, lp_cache)
-        if v not in feasible:
-            raise OffFiberError(f"value {v} at cell {idx} is outside the proposal support")
-        if len(feasible) == 2:
-            p0, p1 = branch_probabilities(state, stats, config)
-            log_q += log(p1 if v else p0)
-        state.place(v)
-    return log_q
+    forcing = [1.0 - v for v in table.cells]
+    draw = run_trial(table.rows, table.cols, stats, config, forcing, lp_cache)
+    if not draw.accepted:
+        raise OffFiberError(f"the proposal rejects the table at cell {draw.stage}")
+    if draw.table != table:
+        idx = next(i for i, (a, b) in enumerate(zip(draw.table.cells, table.cells)) if a != b)
+        raise OffFiberError(
+            f"value {table.cells[idx]} at cell {idx} is outside the proposal support"
+        )
+    return draw.log_q
 
 
 def uniform_rows(seed: int, n_cells: int, start: int, count: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from isingfiber.inference import (
     run_exact_test,
     standardized_weights,
 )
+from isingfiber.models import IsingParams, gibbs_ising
 from isingfiber.sampler import Draw, SamplerConfig
 
 TABLE = BinaryTable(1, 1, (1,))
@@ -85,6 +86,15 @@ class TestPvalues:
             report = report_from_batch(batch, "u", 0)
             assert report.p2 == 1.0
             assert report.p1 <= report.p2
+
+    def test_p1_is_one_when_every_draw_lies_above(self):
+        # the smallest u on the 3x3 fiber (4, 10) is 3, so observed u = 2 puts
+        # the whole mass above; summing normalized weights gave 1 - 2**-52
+        batch = collect_trials(3, 3, SuffStats(4, 10), SamplerConfig(), seed=2, n_trials=200)
+        assert (batch.stat_for_accepted("u") > 2).all()
+        report = report_from_batch(batch, "u", 2)
+        assert report.p1 == 1.0
+        assert report.p2 == 1.0
 
     def test_stat_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -206,6 +216,25 @@ class TestBatchDriver:
         )
         assert abs(est - 4.0) <= 3 * max(se, 1e-12)
 
+    def test_log_fiber_size_fields(self):
+        batch = collect_trials(3, 3, SuffStats(1, 2), SamplerConfig(), seed=11, n_trials=500)
+        report = report_from_batch(batch, "u", 0)
+        assert report.log_fiber_size_estimate == pytest.approx(math.log(report.fiber_size_estimate))
+        assert report.log_fiber_size_se == pytest.approx(
+            report.fiber_size_se / report.fiber_size_estimate
+        )
+
+    def test_log_fiber_size_fields_stay_finite_on_overflow(self):
+        # a 40x40 fiber at a quarter density has about e**970 members
+        table = gibbs_ising(IsingParams(-1.0, 0.1), 40, 40, rng=np.random.default_rng(3))
+        report = run_exact_test(table, n_samples=10, seed=1)
+        assert report.fiber_size_estimate == math.inf
+        assert 709.0 < report.log_fiber_size_estimate < math.inf
+        assert 0.0 < report.log_fiber_size_se < math.inf
+        payload = report.json_payload(seed=1, config={})
+        assert math.isfinite(payload["log_fiber_size_estimate"])
+        assert math.isfinite(payload["log_fiber_size_se"])
+
     def test_run_exact_test_overrides(self):
         table = BinaryTable(2, 2, (1, 0, 0, 0))
         with pytest.raises(EmptyFiberSampleError):
@@ -220,7 +249,7 @@ class TestBatchDriver:
         assert report.observed_stat == 0
 
     def test_json_payload_fields(self):
-        report = TestReport(10, 8, 0.8, 0.1, 0.2, 0.5, 10 / 1.5, 4.0, 0.3, 1, "u")
+        report = TestReport(10, 8, 0.8, 0.1, 0.2, 0.5, 10 / 1.5, 4.0, 0.3, math.log(4.0), 0.075, 1, "u")
         payload = report.json_payload(seed=9, config={"rows": 2})
         assert payload["schema"] == 1
         assert payload["seed"] == 9
@@ -235,6 +264,8 @@ class TestBatchDriver:
             "ess",
             "fiber_size_estimate",
             "fiber_size_se",
+            "log_fiber_size_estimate",
+            "log_fiber_size_se",
             "observed_stat",
             "stat_name",
             "seed",
