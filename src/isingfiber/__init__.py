@@ -11,7 +11,7 @@ from .grid import (
     u_prime_stat,
     u_stat,
 )
-from .cutlp import CellBounds, LPOutcome, LPProblem, SuspensionIndex, build_lp, cell_bounds, solve_lp
+from .cutlp import CellBounds, cell_bounds
 from .inference import TestReport, run_exact_test
 from .models import AutologisticParams, IsingParams, gibbs_autologistic, gibbs_ising
 from .oracle import FiberSummary, enumerate_fiber, exact_pvalues
@@ -26,15 +26,11 @@ __all__ = [
     "Draw",
     "FiberSummary",
     "IsingParams",
-    "LPOutcome",
-    "LPProblem",
     "ParseError",
     "PartialTable",
     "SamplerConfig",
     "SuffStats",
-    "SuspensionIndex",
     "TestReport",
-    "build_lp",
     "cell_bounds",
     "enumerate_fiber",
     "exact_pvalues",
@@ -44,7 +40,6 @@ __all__ = [
     "parse_table",
     "replay_log_q",
     "run_exact_test",
-    "solve_lp",
     "t1",
     "t2",
     "u_prime_stat",

@@ -11,6 +11,7 @@ cv2 and the p-values are invariant to that shift by construction.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -65,22 +66,23 @@ class TestReport:
 
 
 # ---------------------------------------------------------------------------
-# array-level core shared by the Draw-level operations and the batch driver
+# weight reductions over the outcome arrays of a batch
 
 
-def _shifted_raw(accepted: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-    """Raw weights 1/q rescaled by exp(-max(-log_q)); rejections are exact zeros."""
+def _shifted_raw(accepted: np.ndarray, log_q: np.ndarray) -> tuple[np.ndarray, float]:
+    """(raw weights 1/q rescaled by exp(-shift), shift = max(-log_q)); rejections
+    are exact zeros."""
     if not accepted.any():
         raise EmptyFiberSampleError("empty fiber sample")
     neg = -log_q[accepted]
     shift = neg.max()
     out = np.zeros(accepted.size)
     out[accepted] = np.exp(neg - shift)
-    return out
+    return out, float(shift)
 
 
 def _weights_arrays(accepted: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-    s = _shifted_raw(accepted, log_q)
+    s, _ = _shifted_raw(accepted, log_q)
     return s / s.sum()
 
 
@@ -103,7 +105,7 @@ def _pvalues_arrays(
 def _cv2_arrays(accepted: np.ndarray, log_q: np.ndarray) -> float:
     if accepted.size < 2:
         raise ValueError("cv2 needs at least two trials")
-    s = _shifted_raw(accepted, log_q)
+    s, _ = _shifted_raw(accepted, log_q)
     mean = s.mean()
     return float(s.var(ddof=1) / mean**2)
 
@@ -116,12 +118,7 @@ def _fiber_size_arrays(
     n = accepted.size
     if n < 2:
         raise ValueError("fiber-size estimate needs at least two trials")
-    if not accepted.any():
-        return 0.0, 0.0, -math.inf, 0.0
-    neg = -log_q[accepted]
-    shift = float(neg.max())
-    s = np.zeros(n)
-    s[accepted] = np.exp(neg - shift)
+    s, shift = _shifted_raw(accepted, log_q)
     mean = float(s.mean())
     sd = float(s.std(ddof=1))
     log_est = shift + math.log(mean)
@@ -134,50 +131,11 @@ def _fiber_size_arrays(
     return estimate, se, log_est, se_of_log
 
 
-def draws_to_arrays(draws) -> tuple[np.ndarray, np.ndarray]:
-    accepted = np.array([d.accepted for d in draws], dtype=bool)
-    log_q = np.array([d.log_q if d.accepted else np.nan for d in draws])
-    return accepted, log_q
-
-
-# ---------------------------------------------------------------------------
-# Draw-level operations
-
-
-def standardized_weights(draws) -> np.ndarray:
-    """Normalized importance weights over the batch; rejections get exact zeros."""
-    accepted, log_q = draws_to_arrays(draws)
-    return _weights_arrays(accepted, log_q)
-
-
-def estimate_pvalues(draws, stat_values, observed: int) -> tuple[float, float]:
-    """(p1, p2) = weighted shares of draws with statistic strictly above /
-    at least the observed value; stat_values align with the accepted draws."""
-    accepted, log_q = draws_to_arrays(draws)
-    stat_acc = np.asarray(stat_values)
-    if stat_acc.size != int(accepted.sum()):
-        raise ValueError("need one statistic value per accepted draw")
-    return _pvalues_arrays(accepted, log_q, stat_acc, observed)
-
-
-def cv2(draws) -> float:
-    """Sample variance of the raw weights over their squared sample mean."""
-    accepted, log_q = draws_to_arrays(draws)
-    return _cv2_arrays(accepted, log_q)
-
-
 def ess(n: int, cv2_value: float) -> float:
     """Effective sample size n / (1 + cv2)."""
     if n < 1 or cv2_value < 0:
         raise ValueError("need n >= 1 and cv2 >= 0")
     return n / (1.0 + cv2_value)
-
-
-def estimate_fiber_size(draws) -> tuple[float, float]:
-    """Unbiased fiber-size estimate: mean of the raw 1/q weights, with its
-    standard error; (0, 0) when nothing was accepted."""
-    accepted, log_q = draws_to_arrays(draws)
-    return _fiber_size_arrays(accepted, log_q)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +221,8 @@ def collect_trials(
 
     Trial i always consumes stream positions [i*mn, (i+1)*mn) of the
     seed-keyed generator, so the outcome arrays are byte-identical for any
-    worker count; workers only change the wall clock.
+    worker count; workers only change the wall clock. At most os.cpu_count()
+    worker processes run.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
@@ -283,7 +242,10 @@ def collect_trials(
             (rows, cols, stats.t1, stats.t2, config.__dict__.copy(), seed, s, min(s + chunk, n_trials))
             for s in range(0, n_trials, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all max_workers processes at once, so never ask for
+        # more than there are cores or jobs
+        n_procs = min(workers, os.cpu_count() or 1, len(jobs))
+        with ProcessPoolExecutor(max_workers=n_procs) as pool:
             parts = list(pool.map(_worker, jobs))
 
     for start, (acc, lq, st, su, sup) in parts:

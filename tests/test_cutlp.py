@@ -3,13 +3,11 @@ import pytest
 from scipy.optimize import linprog
 
 from isingfiber.cutlp import (
+    ROUND_TOL,
     CellBounds,
-    LPProblem,
-    SuspensionIndex,
-    build_lp,
     cell_bounds,
     cut_semimetric,
-    solve_lp,
+    state_key,
     state_lp_feasible,
     state_template,
     suspension_semimetric,
@@ -18,33 +16,99 @@ from isingfiber.cutlp import (
 from isingfiber.grid import BinaryTable, SuffStats, t1, t2, topology
 from isingfiber.oracle import exact_cell_bounds, fiber_members
 from isingfiber.sampler import PartialTable
+from isingfiber.simplex import solve_canonical
 
 
 def P(rows, cols, prefix=()):
     return PartialTable.from_prefix(rows, cols, prefix)
 
 
-def state_key(rows, cols, prefix, stats):
-    """(k, window, r1, r2) of a raster prefix, the arguments of state_lp_feasible
-    after (rows, cols): window bit j is the value of cell max(k-cols-1, 0) + j."""
-    k = len(prefix)
-    lo = max(k - cols - 1, 0)
-    window = sum(v << (i - lo) for i, v in enumerate(prefix[lo:], start=lo))
-    discord = sum(prefix[a] != prefix[b] for a, b in topology(rows, cols).edges if b < k)
-    return k, window, stats.t1 - sum(prefix), stats.t2 - discord
+def full_lp(rows, cols, prefix, stats):
+    """The whole suspension LP of a raster prefix, written from the topology
+    alone: apex variables in raster order, then grid edges in edge order; the
+    four triangle rows of every edge, then the eight rows of every unit square;
+    determined cells, and edges with both ends determined, pinned by bounds."""
+    topo = topology(rows, cols)
+    n, n_edges = topo.n_cells, len(topo.edges)
+    A_ub, b_ub = [], []
+
+    def row(coefs, rhs):
+        dense = np.zeros(n + n_edges)
+        for var, coef in coefs:
+            dense[var] = coef
+        A_ub.append(dense)
+        b_ub.append(rhs)
+
+    for e, (a, b) in enumerate(topo.edges):
+        c = n + e
+        row([(a, 1), (b, 1), (c, 1)], 2.0)  # a + b + c <= 2
+        row([(a, -1), (b, -1), (c, 1)], 0.0)  # c <= a + b
+        row([(a, -1), (b, 1), (c, -1)], 0.0)  # b <= a + c
+        row([(a, 1), (b, -1), (c, -1)], 0.0)  # a <= b + c
+    for square in topo.squares:
+        for minus in range(4):
+            coefs = [(n + e, -1 if i == minus else 1) for i, e in enumerate(square)]
+            row(coefs, 2.0)
+            row([(var, -coef) for var, coef in coefs], 0.0)
+    A_eq = np.zeros((2, n + n_edges))
+    A_eq[0, :n] = 1.0
+    A_eq[1, n:] = 1.0
+    bounds = [(prefix[i], prefix[i]) if i < len(prefix) else (0, 1) for i in range(n)]
+    for a, b in topo.edges:
+        pinned = b < len(prefix)
+        bounds.append((abs(prefix[a] - prefix[b]),) * 2 if pinned else (0, 1))
+    return np.array(A_ub), np.array(b_ub), A_eq, [stats.t1, stats.t2], bounds
+
+
+def highs(lp, c=None):
+    """scipy HiGHS on a full_lp problem; zero objective unless c is given."""
+    A_ub, b_ub, A_eq, b_eq, bounds = lp
+    c = np.zeros(A_ub.shape[1]) if c is None else c
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    assert res.status in (0, 2)
+    return res
+
+
+def highs_cell_bounds(rows, cols, prefix, stats, cell):
+    lp = full_lp(rows, cols, prefix, stats)
+    c = np.zeros(lp[0].shape[1])
+    c[cell] = 1.0
+    lo, hi = highs(lp, c), highs(lp, -c)
+    if lo.status == 2 or hi.status == 2:
+        return CellBounds("infeasible")
+    lo = max(0, int(np.ceil(lo.x[cell] - ROUND_TOL)))
+    hi = min(1, int(np.floor(hi.x[cell] + ROUND_TOL)))
+    return CellBounds("bounded", lo, hi) if lo <= hi else CellBounds("infeasible")
+
+
+def seeded_prefixes(rows, cols, count, rng):
+    """(stats, prefix) pairs: prefixes of random tables of rows x cols, with up
+    to two flipped values, conditioned on the statistics of the unflipped table."""
+    n = rows * cols
+    for _ in range(count):
+        cells = [int(v) for v in rng.random(n) < rng.uniform(0.2, 0.5)]
+        stats = SuffStats.of(BinaryTable(rows, cols, tuple(cells)))
+        prefix = cells[: int(rng.integers(0, n + 1))]
+        if prefix:
+            for i in rng.integers(0, len(prefix), int(rng.integers(0, 3))):
+                prefix[i] ^= 1
+        yield stats, tuple(prefix)
 
 
 class TestSuspensionIndex:
     def test_variable_counts(self):
-        su = SuspensionIndex(2, 2)
-        assert (su.e1_count, su.e2_count, su.n_vars) == (4, 4, 8)
-        su = SuspensionIndex(3, 3)
-        assert (su.e1_count, su.e2_count, su.n_vars) == (9, 12, 21)
+        # apex edges, then grid edges: mn + (2mn - m - n)
+        for rows, cols, n_vars in ((2, 2, 8), (3, 3, 21), (1, 4, 7)):
+            assert state_template(rows, cols, 0).A_ub.shape[1] == n_vars
+            table = BinaryTable(rows, cols, (0,) * (rows * cols))
+            assert suspension_semimetric(table).shape == (n_vars,)
 
     def test_edge_var_lookup(self):
-        su = SuspensionIndex(2, 2)
-        assert su.edge_var(0, 1) == su.edge_var(1, 0)
-        assert su.edge_var(0, 2) >= su.e1_count
+        # the grid edge (a, b) is coordinate mn + edge_index[(a, b)], either orientation
+        topo = topology(2, 2)
+        vec = suspension_semimetric(BinaryTable(2, 2, (1, 0, 0, 0)))
+        for (a, b), e in topo.edge_index.items():
+            assert vec[4 + e] == (0 in (a, b))
 
 
 class TestCutSemimetric:
@@ -63,85 +127,72 @@ class TestCutSemimetric:
 
 
 class TestBuildLP:
+    """Shapes of the rows state_template builds for the empty state."""
+
+    @staticmethod
+    def triangles_and_squares(tpl):
+        # triangle rows touch an apex variable, square rows only grid edges
+        touches_cell = tpl.A_ub[:, : tpl.n_cells].any(axis=1)
+        return int(touches_cell.sum()), int((~touches_cell).sum())
+
     def test_2x2_row_counts(self):
-        lp = build_lp(P(2, 2), SuffStats(1, 2), 0, "min")
-        triangles = [r for r in lp.ineqs if len(r[0]) == 3]
-        squares = [r for r in lp.ineqs if len(r[0]) == 4]
-        assert lp.n_vars == 8
-        assert len(triangles) == 16
-        assert len(squares) == 8
-        assert len(lp.eqs) == 2
+        tpl = state_template(2, 2, 0)
+        assert tpl.A_ub.shape == (24, 8)
+        assert self.triangles_and_squares(tpl) == (16, 8)
+        assert tpl.A_eq.shape == (2, 8)
 
     def test_3x3_row_counts(self):
-        lp = build_lp(P(3, 3), SuffStats(1, 2), 0, "min")
-        triangles = [r for r in lp.ineqs if len(r[0]) == 3]
-        squares = [r for r in lp.ineqs if len(r[0]) == 4]
-        assert lp.n_vars == 21
-        assert len(triangles) == 48
-        assert len(squares) == 32
-        assert len(lp.eqs) == 2
-
-    def test_determined_cell_adds_equalities(self):
-        lp = build_lp(P(2, 2, (1,)), SuffStats(2, 2), 1, "min")
-        assert len(lp.eqs) == 3  # two fiber rows plus one cell pin
-        lp = build_lp(P(2, 2, (1, 0)), SuffStats(2, 2), 2, "min")
-        assert len(lp.eqs) == 5  # + second cell pin + the (0,1) edge pin
-
-    def test_lp_format_dump(self):
-        text = build_lp(P(2, 2), SuffStats(1, 2), 0, "min").to_lp_format()
-        assert text.startswith("\\ cutlp\nMinimize")
-        assert "Subject To" in text and "Bounds" in text and text.endswith("End\n")
+        tpl = state_template(3, 3, 0)
+        assert tpl.A_ub.shape == (80, 21)
+        assert self.triangles_and_squares(tpl) == (48, 32)
+        assert tpl.A_eq.shape == (2, 21)
 
 
 class TestSolveLP:
     def test_box_only_problem(self):
-        lp = LPProblem(
-            n_vars=1,
-            lower=np.array([0.3]),
-            upper=np.array([1.0]),
-            ineqs=[],
-            eqs=[],
-            objective=np.array([1.0]),
-            sense="min",
-        )
-        out = solve_lp(lp)
-        assert out.status == "optimal"
-        assert out.value == pytest.approx(0.3, abs=1e-9)
+        # the 1x1 grid has no edges, so only the box and the t1 row remain
+        assert state_template(1, 1, 0).A_ub.shape == (0, 1)
+        assert cell_bounds(P(1, 1), SuffStats(1, 0), 0) == CellBounds("bounded", 1, 1)
+        assert cell_bounds(P(1, 1), SuffStats(0, 0), 0) == CellBounds("bounded", 0, 0)
 
     def test_contradictory_rows(self):
-        lp = LPProblem(
-            n_vars=1,
-            lower=np.zeros(1),
-            upper=np.ones(1),
-            ineqs=[(((0, 1.0),), ">=", 2.0), (((0, 1.0),), "<=", 1.0)],
-            eqs=[],
-            objective=np.array([1.0]),
-            sense="min",
-        )
-        assert solve_lp(lp).status == "infeasible"
+        # on 1x2, t1 = 0 zeroes both cells and the triangle c <= a + b then
+        # contradicts t2 = 1; each row alone is within range
+        assert cell_bounds(P(1, 2), SuffStats(0, 1), 0).status == "infeasible"
+        assert not state_lp_feasible(1, 2, *state_key(1, 2, (), SuffStats(0, 1)))
+        assert state_lp_feasible(1, 2, *state_key(1, 2, (), SuffStats(1, 1)))
 
     def test_empty_fiber_detected(self):
         # triangle rows force t2 <= 2*t1 on the 2x2 grid, so (1, 3) is infeasible
-        out = solve_lp(build_lp(P(2, 2), SuffStats(1, 3), 0, "min"))
-        assert out.status == "infeasible"
+        assert not state_lp_feasible(2, 2, *state_key(2, 2, (), SuffStats(1, 3)))
+        assert cell_bounds(P(2, 2), SuffStats(1, 3), 0).status == "infeasible"
         assert sum(1 for _ in fiber_members(2, 2, SuffStats(1, 3))) == 0
 
     def test_optimal_solution_satisfies_all_rows(self):
-        lp = build_lp(P(3, 3, (1, 0)), SuffStats(3, 8), 5, "max")
-        out = solve_lp(lp)
-        assert out.status == "optimal"
-        for coeffs, rel, rhs in lp.ineqs:
-            lhs = sum(c * out.x[v] for v, c in coeffs)
-            assert (lhs <= rhs + 1e-7) if rel == "<=" else (lhs >= rhs - 1e-7)
-        for coeffs, _, rhs in lp.eqs:
-            assert sum(c * out.x[v] for v, c in coeffs) == pytest.approx(rhs, abs=1e-7)
-        assert (out.x >= -1e-7).all() and (out.x <= 1 + 1e-7).all()
+        k, window, r1, r2 = state_key(3, 3, (1, 0), SuffStats(3, 8))
+        tpl = state_template(3, 3, k)
+        c = np.zeros(tpl.ones.size)
+        c[5 - k] = -1.0  # maximize cell 5
+        b_ub, b_eq = tpl.b_ub(window), np.array([r1, r2], dtype=float)
+        res = solve_canonical(c, tpl.A_ub, b_ub, tpl.A_eq, b_eq, tpl.ones)
+        assert res.status == "optimal"
+        assert (tpl.A_ub @ res.x <= b_ub + 1e-7).all()
+        assert tpl.A_eq @ res.x == pytest.approx(b_eq, abs=1e-7)
+        assert (res.x >= -1e-7).all() and (res.x <= 1 + 1e-7).all()
+        assert cell_bounds(P(3, 3, (1, 0)), SuffStats(3, 8), 5).hi == int(res.x[5 - k] + ROUND_TOL)
 
     def test_determinism(self):
-        lp = build_lp(P(3, 3, (1, 0, 1)), SuffStats(4, 8), 7, "min")
-        a, b = solve_lp(lp), solve_lp(lp)
+        k, window, r1, r2 = state_key(3, 3, (1, 0, 1), SuffStats(4, 8))
+        tpl = state_template(3, 3, k)
+        c = np.zeros(tpl.ones.size)
+        c[7 - k] = 1.0
+        args = (c, tpl.A_ub, tpl.b_ub(window), tpl.A_eq, np.array([r1, r2], dtype=float), tpl.ones)
+        a, b = solve_canonical(*args), solve_canonical(*args)
         assert a.status == b.status and a.value == b.value
         assert np.array_equal(a.x, b.x)
+        assert cell_bounds(P(3, 3, (1, 0, 1)), SuffStats(4, 8), 7) == cell_bounds(
+            P(3, 3, (1, 0, 1)), SuffStats(4, 8), 7
+        )
 
 
 class TestCellBounds:
@@ -157,6 +208,13 @@ class TestCellBounds:
     def test_center_forced_zero(self):
         # matches the oracle: no single-one table with a center one has t2 = 2
         assert cell_bounds(P(3, 3), SuffStats(1, 2), 4) == CellBounds("bounded", 0, 0)
+
+    def test_cell_must_be_undetermined(self):
+        for prefix, cell in (((1, 0), 1), ((1, 0), 0), ((), -1), ((), 9)):
+            with pytest.raises(ValueError):
+                cell_bounds(P(3, 3, prefix), SuffStats(3, 8), cell)
+        assert cell_bounds(P(3, 3, (1, 0)), SuffStats(3, 8), 2).status == "bounded"
+        assert cell_bounds(P(3, 3, (1, 0)), SuffStats(3, 8), 8).status == "bounded"
 
     def test_soundness_on_random_3x3_states(self, fibers_3x3):
         rng = np.random.default_rng(5)
@@ -207,6 +265,14 @@ class TestCutVectors:
         vec[4:] = [0.0, 1.0, 1.0, 1.0]
         assert violates_cut_inequalities(vec, 2, 2)
 
+    def test_square_rows_alone_cut_an_odd_cycle(self):
+        # apex coordinates 1/2 satisfy every triangle row for any edge values,
+        # so only a square row sees three cut edges out of four
+        vec = np.array([0.5] * 4 + [0.0, 1.0, 1.0, 1.0])
+        assert violates_cut_inequalities(vec, 2, 2)
+        vec[4] = 1.0
+        assert not violates_cut_inequalities(vec, 2, 2)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             violates_cut_inequalities(np.zeros(7), 2, 2)
@@ -226,15 +292,26 @@ class TestCutVectors:
 
 class TestStateFeasibility:
     def test_matches_full_lp(self, fibers_3x3):
+        # the verdict and the cell bounds equal HiGHS on the whole suspension LP
         rng = np.random.default_rng(2)
         keys = sorted(fibers_3x3, key=lambda s: (s.t1, s.t2))
-        for _ in range(120):
+        cases = []
+        for _ in range(80):
             stats = keys[rng.integers(0, len(keys))]
-            k = int(rng.integers(0, 10))
-            prefix = tuple(int(v) for v in rng.integers(0, 2, k))
-            fast = state_lp_feasible(3, 3, *state_key(3, 3, prefix, stats))
-            full = solve_lp(build_lp(P(3, 3, prefix), stats, 0, "min")).status == "optimal"
-            assert fast == full, (stats, prefix)
+            cases.append((3, 3, stats, tuple(int(v) for v in rng.integers(0, 2, rng.integers(0, 10)))))
+        for rows, cols in ((3, 3), (4, 4), (3, 6)):
+            cases += [(rows, cols, *case) for case in seeded_prefixes(rows, cols, 40, rng)]
+        feasible = bounded = 0
+        for rows, cols, stats, prefix in cases:
+            got = state_lp_feasible(rows, cols, *state_key(rows, cols, prefix, stats))
+            assert got == (highs(full_lp(rows, cols, prefix, stats)).status == 0), (stats, prefix)
+            feasible += got
+            if len(prefix) < rows * cols:
+                cell = int(rng.integers(len(prefix), rows * cols))
+                want = highs_cell_bounds(rows, cols, prefix, stats, cell)
+                assert cell_bounds(P(rows, cols, prefix), stats, cell) == want, (stats, prefix, cell)
+                bounded += want.status == "bounded"
+        assert 0 < feasible < len(cases) and bounded > 60
 
     def test_complete_state(self):
         assert state_lp_feasible(2, 2, *state_key(2, 2, (1, 0, 0, 1), SuffStats(2, 4)))
@@ -252,16 +329,12 @@ class TestStateTemplate:
         assert state_template(4, 4, 9) is not state_template(4, 4, 10)
 
     def test_rows_of_the_empty_state(self):
-        # with nothing determined the template is build_lp's inequality block
-        tpl = state_template(3, 3, 0)
-        lp = build_lp(P(3, 3), SuffStats(1, 2), 0, "min")
-        assert tpl.A_ub.shape == (len(lp.ineqs), lp.n_vars)
-        for row, b, (coeffs, rel, rhs) in zip(tpl.A_ub, tpl.b_ub(0), lp.ineqs):
-            sign = 1.0 if rel == "<=" else -1.0
-            dense = np.zeros(lp.n_vars)
-            for v, c in coeffs:
-                dense[v] = sign * c
-            assert np.array_equal(row, dense) and b == sign * rhs
+        # with nothing determined the template is the full LP's inequality block
+        for rows, cols in ((3, 3), (2, 4)):
+            tpl = state_template(rows, cols, 0)
+            A_ub, b_ub, *_ = full_lp(rows, cols, (), SuffStats(1, 2))
+            assert np.array_equal(tpl.A_ub, A_ub)
+            assert np.array_equal(tpl.b_ub(0), b_ub)
 
     def test_window_out_of_range(self):
         with pytest.raises(ValueError):

@@ -3,78 +3,77 @@ import math
 import numpy as np
 import pytest
 
+from isingfiber import inference
 from isingfiber.grid import BinaryTable, SuffStats
 from isingfiber.inference import (
     EmptyFiberSampleError,
     TestReport,
+    _cv2_arrays,
+    _fiber_size_arrays,
+    _pvalues_arrays,
+    _weights_arrays,
     collect_trials,
-    cv2,
     ess,
-    estimate_fiber_size,
-    estimate_pvalues,
     report_from_batch,
     run_exact_test,
-    standardized_weights,
 )
 from isingfiber.models import IsingParams, gibbs_ising
-from isingfiber.sampler import Draw, SamplerConfig
-
-TABLE = BinaryTable(1, 1, (1,))
+from isingfiber.sampler import SamplerConfig
 
 
-def accept(log_q):
-    return Draw.accept(TABLE, log_q)
+def arrays(*log_q):
+    """(accepted, log_q) outcome arrays of a batch; None marks a rejected trial."""
+    accepted = np.array([v is not None for v in log_q], dtype=bool)
+    return accepted, np.array([np.nan if v is None else v for v in log_q])
 
 
-def reject(stage=0):
-    return Draw.reject(stage)
+def pvalues(log_q, stat_values, observed):
+    return _pvalues_arrays(*arrays(*log_q), np.asarray(stat_values), observed)
 
 
 class TestStandardizedWeights:
     def test_equal_weights(self):
-        w = standardized_weights([accept(0.0), accept(0.0)])
+        w = _weights_arrays(*arrays(0.0, 0.0))
         assert np.array_equal(w, [0.5, 0.5])
 
     def test_rejection_gets_zero(self):
-        w = standardized_weights([accept(0.0), reject(), accept(0.0)])
+        w = _weights_arrays(*arrays(0.0, None, 0.0))
         assert np.array_equal(w, [0.5, 0.0, 0.5])
 
     def test_unequal_weights(self):
-        w = standardized_weights([accept(math.log(0.25)), accept(math.log(0.5))])
+        w = _weights_arrays(*arrays(math.log(0.25), math.log(0.5)))
         assert w[0] == pytest.approx(2 / 3)
         assert w[1] == pytest.approx(1 / 3)
 
     def test_empty_sample(self):
         with pytest.raises(EmptyFiberSampleError, match="empty fiber sample"):
-            standardized_weights([reject(), reject()])
+            _weights_arrays(*arrays(None, None))
 
     def test_sum_to_one(self):
         rng = np.random.default_rng(0)
-        draws = [accept(float(-rng.exponential(5))) if rng.random() < 0.7 else reject() for _ in range(500)]
-        if not any(d.accepted for d in draws):
-            draws.append(accept(-1.0))
-        assert standardized_weights(draws).sum() == pytest.approx(1.0)
+        log_q = [float(-rng.exponential(5)) if rng.random() < 0.7 else None for _ in range(500)]
+        if all(v is None for v in log_q):
+            log_q.append(-1.0)
+        assert _weights_arrays(*arrays(*log_q)).sum() == pytest.approx(1.0)
 
 
 class TestPvalues:
     def test_three_equal_draws(self):
-        draws = [accept(0.0)] * 3
-        p1, p2 = estimate_pvalues(draws, [0, 1, 2], 1)
+        p1, p2 = pvalues([0.0] * 3, [0, 1, 2], 1)
         assert p1 == pytest.approx(1 / 3)
         assert p2 == pytest.approx(2 / 3)
 
     def test_all_ties(self):
-        draws = [accept(0.0)] * 4
-        p1, p2 = estimate_pvalues(draws, [3, 3, 3, 3], 3)
+        p1, p2 = pvalues([0.0] * 4, [3, 3, 3, 3], 3)
         assert p1 == 0.0
         assert p2 == pytest.approx(1.0)
 
     def test_p2_minus_p1_is_tie_mass(self):
         rng = np.random.default_rng(1)
-        draws = [accept(float(-rng.exponential())) for _ in range(200)]
+        log_q = [float(-rng.exponential()) for _ in range(200)]
         stats = rng.integers(0, 4, 200)
-        w = standardized_weights(draws)
-        p1, p2 = estimate_pvalues(draws, stats, 2)
+        w = _weights_arrays(*arrays(*log_q))
+        p1, p2 = pvalues(log_q, stats, 2)
         assert p1 <= p2
         assert p2 - p1 == pytest.approx(float(w[stats == 2].sum()), abs=1e-12)
 
@@ -96,23 +95,18 @@ class TestPvalues:
         assert report.p1 == 1.0
         assert report.p2 == 1.0
 
-    def test_stat_count_mismatch(self):
-        with pytest.raises(ValueError):
-            estimate_pvalues([accept(0.0), reject()], [1, 2], 1)
-
 
 class TestCv2AndEss:
     def test_constant_weights(self):
-        assert cv2([accept(math.log(0.5))] * 4) == pytest.approx(0.0)
+        assert _cv2_arrays(*arrays(*[math.log(0.5)] * 4)) == pytest.approx(0.0)
 
     def test_one_three_example(self):
         # raw weights (1, 3): mean 2, sample variance 2, cv2 = 0.5
-        draws = [accept(0.0), accept(math.log(1 / 3))]
-        assert cv2(draws) == pytest.approx(0.5)
+        assert _cv2_arrays(*arrays(0.0, math.log(1 / 3))) == pytest.approx(0.5)
 
     def test_all_zero_error(self):
         with pytest.raises(EmptyFiberSampleError):
-            cv2([reject(), reject()])
+            _cv2_arrays(*arrays(None, None))
 
     def test_ess_examples(self):
         assert ess(5000, 0.0) == 5000.0
@@ -131,23 +125,21 @@ class TestCv2AndEss:
 
 class TestFiberSize:
     def test_constant_quarter_proposal(self):
-        draws = [accept(math.log(0.25))] * 8
-        est, se = estimate_fiber_size(draws)
+        est, se, _, _ = _fiber_size_arrays(*arrays(*[math.log(0.25)] * 8))
         assert est == pytest.approx(4.0)
         assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_all_rejected(self):
-        assert estimate_fiber_size([reject(), reject()]) == (0.0, 0.0)
+        with pytest.raises(EmptyFiberSampleError):
+            _fiber_size_arrays(*arrays(None, None))
 
     def test_mix(self):
-        draws = [accept(math.log(0.5)), reject()]
-        est, se = estimate_fiber_size(draws)
+        est, se, _, _ = _fiber_size_arrays(*arrays(math.log(0.5), None))
         assert est == pytest.approx(1.0)  # mean of (2, 0)
         assert se == pytest.approx(np.std([2.0, 0.0], ddof=1) / math.sqrt(2))
 
     def test_huge_logq_does_not_overflow(self):
-        draws = [accept(-800.0), accept(-800.0)]
-        est, se = estimate_fiber_size(draws)
+        est, se, _, _ = _fiber_size_arrays(*arrays(-800.0, -800.0))
         assert est == math.inf
         assert se == 0.0
 
@@ -158,14 +150,12 @@ class TestLogSpaceSafety:
         # unchanged up to floating rounding of the shifted inputs
         rng = np.random.default_rng(2)
         logqs = [float(-rng.exponential(3)) for _ in range(100)]
-        draws = [accept(lq) for lq in logqs]
-        shifted = [accept(lq - 250.0) for lq in logqs]
-        assert np.allclose(
-            standardized_weights(draws), standardized_weights(shifted), rtol=1e-12, atol=0
-        )
-        assert cv2(draws) == pytest.approx(cv2(shifted), rel=1e-10)
-        p = estimate_pvalues(draws, list(range(100)), 50)
-        ps = estimate_pvalues(shifted, list(range(100)), 50)
+        draws = arrays(*logqs)
+        shifted = arrays(*[lq - 250.0 for lq in logqs])
+        assert np.allclose(_weights_arrays(*draws), _weights_arrays(*shifted), rtol=1e-12, atol=0)
+        assert _cv2_arrays(*draws) == pytest.approx(_cv2_arrays(*shifted), rel=1e-10)
+        p = pvalues(logqs, range(100), 50)
+        ps = pvalues([lq - 250.0 for lq in logqs], range(100), 50)
         assert p[0] == pytest.approx(ps[0], rel=1e-10)
         assert p[1] == pytest.approx(ps[1], rel=1e-10)
 
@@ -190,6 +180,38 @@ class TestBatchDriver:
         assert np.array_equal(one.stat_u, three.stat_u)
         assert np.array_equal(one.stat_uprime, three.stat_uprime)
         assert np.array_equal(one.stage, three.stage)
+
+    def test_worker_processes_are_capped_by_cores_and_jobs(self, monkeypatch):
+        # the pool forks max_workers processes up front; a serial stand-in
+        # records the request without starting any
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(inference, "ProcessPoolExecutor", SerialPool)
+        stats = SuffStats(3, 8)
+        serial = collect_trials(3, 3, stats, SamplerConfig(), seed=5, n_trials=10)
+        for cores, want in ((None, 1), (2, 2), (64, 10)):  # 10 trials make 10 jobs
+            monkeypatch.setattr(inference.os, "cpu_count", lambda: cores)
+            batch = collect_trials(
+                3, 3, stats, SamplerConfig(), seed=5, n_trials=10, workers=100_000
+            )
+            assert requested[-1] == want
+            for name in ("accepted", "stage", "stat_u", "stat_uprime"):
+                assert np.array_equal(getattr(batch, name), getattr(serial, name))
+            assert np.array_equal(batch.log_q, serial.log_q, equal_nan=True)
+        assert len(requested) == 3
 
     def test_report_invariants(self):
         stats = SuffStats(3, 8)
