@@ -45,7 +45,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload) + "\n")
+    # JSON (RFC 8259) has no Infinity or NaN; payloads write null instead
+    sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
 
 
 def _read_table(path: str) -> BinaryTable:
@@ -189,10 +190,21 @@ def build_parser() -> _Parser:
     ts.add_argument("--seed", type=int, default=0)
     ts.add_argument("--threads", type=int, default=1)
     ts.add_argument("--stat", choices=sorted(STATISTICS), default="u")
-    ts.add_argument("--lp-cells", type=int, default=20)
-    ts.add_argument("--lp-ratio", type=float, default=2.0)
+    ts.add_argument(
+        "--lp-cells",
+        type=int,
+        default=20,
+        help="endgame length: a cell followed by at most this many cells is screened "
+        "by the exact endgame table (grids up to 10 columns) or by the LP",
+    )
+    ts.add_argument(
+        "--lp-ratio",
+        type=float,
+        default=2.0,
+        help="the LP screens a value only where remaining discord <= LP_RATIO * remaining ones",
+    )
     ts.add_argument("--rho-clamp", type=float, default=1e-3)
-    ts.add_argument("--no-lp", action="store_true")
+    ts.add_argument("--no-lp", action="store_true", help="turn both endgame screens off")
     ts.add_argument("--naive-proposal", action="store_true")
     ts.add_argument("--t1", type=int, default=None, help="override the conditioning t1")
     ts.add_argument("--t2", type=int, default=None, help="override the conditioning t2")

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BinaryTable, SuffStats, u_prime_stat, u_stat
+# u_stat and u_prime_stat are not called here (window_stats counts both over
+# a block of tables); they stay module attributes, which bench/tracer.py wraps
+from .grid import BinaryTable, SuffStats, u_prime_stat, u_stat  # noqa: F401
 from .sampler import SamplerConfig, new_step_cache, run_trial, uniform_rows
 
 
@@ -44,8 +46,11 @@ class TestReport:
     stat_name: str
 
     def json_payload(self, seed: int, config: dict) -> dict:
+        """The report as JSON values. JSON (RFC 8259) has no Infinity, so a
+        non-finite float (a fiber-size estimate past the double range)
+        becomes None, JSON's null; schema 2 is the first to do so."""
         payload = {
-            "schema": 1,
+            "schema": 2,
             "n_trials": self.n_trials,
             "n_accepted": self.n_accepted,
             "delta": self.delta,
@@ -62,7 +67,10 @@ class TestReport:
             "seed": seed,
             "config": config,
         }
-        return payload
+        return {
+            k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in payload.items()
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +183,17 @@ class TrialBatch:
 _SUB_BLOCK = 256
 
 
+def window_stats(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u and uprime (see grid.u_stat and grid.u_prime_stat) of each table in
+    a (count, rows, cols) 0-1 array, counted over all 2x2 windows at once."""
+    a, b = tables[:, :-1, :-1], tables[:, :-1, 1:]
+    c, d = tables[:, 1:, :-1], tables[:, 1:, 1:]
+    u = ((a != b) & (a == d) & (b == c)).sum(axis=(1, 2))
+    # [[0,0],[1,1]]: c & d is 1 exactly where a | b is 0
+    uprime = ((c & d) > (a | b)).sum(axis=(1, 2))
+    return u, uprime
+
+
 def _run_range(rows, cols, stats, config, seed, start, stop, lp_cache, step_cache):
     n_cells = rows * cols
     count = stop - start
@@ -183,19 +202,24 @@ def _run_range(rows, cols, stats, config, seed, start, stop, lp_cache, step_cach
     stage = np.full(count, -1, dtype=np.int32)
     stat_u = np.full(count, -1, dtype=np.int32)
     stat_up = np.full(count, -1, dtype=np.int32)
+    tables = np.empty((_SUB_BLOCK, n_cells), dtype=np.int8)  # a block's accepted tables
     for block in range(start, stop, _SUB_BLOCK):
         block_stop = min(block + _SUB_BLOCK, stop)
         uniforms = uniform_rows(seed, n_cells, block, block_stop - block)
+        n_acc = 0
         for i in range(block, block_stop):
             draw = run_trial(rows, cols, stats, config, uniforms[i - block], lp_cache, step_cache)
             k = i - start
             if draw.accepted:
                 accepted[k] = True
                 log_q[k] = draw.log_q
-                stat_u[k] = u_stat(draw.table)
-                stat_up[k] = u_prime_stat(draw.table)
+                tables[n_acc] = draw.table.cells
+                n_acc += 1
             else:
                 stage[k] = draw.stage
+        if n_acc:
+            at = np.flatnonzero(accepted[block - start : block_stop - start]) + (block - start)
+            stat_u[at], stat_up[at] = window_stats(tables[:n_acc].reshape(-1, rows, cols))
     return accepted, log_q, stage, stat_u, stat_up
 
 

@@ -1,19 +1,28 @@
 """Sequential cell-by-cell sampling of tables with fixed (t1, t2).
 
 Cells are filled in raster order by one step loop, `run_trial`. At each cell
-both candidate values are screened by sound feasibility arguments (counting, a
-discord-budget window, exact single-one analysis, and close to the end an LP
-feasibility check over the cut-polytope relaxation); when both survive they
-are weighted by a Gaussian approximation of how many fiber completions each
-branch leaves open, which keeps the remaining discord budget tracking its
-achievable mean. Every conditional probability is recorded exactly.
-`replay_log_q` runs the same loop with forcing uniforms, so the log proposal
-probability of an accepted table replays bit for bit by construction.
+both candidate values are screened by sound feasibility arguments; when both
+survive they are weighted by a Gaussian approximation of how many fiber
+completions each branch leaves open, which keeps the remaining discord budget
+tracking its achievable mean. Every conditional probability is recorded
+exactly. `replay_log_q` runs the same loop with forcing uniforms, so the log
+proposal probability of an accepted table replays bit for bit by
+construction.
+
+The screens depend on the cell's place. At a cell followed by at most
+lp_cell_threshold cells (the endgame) of a grid at most endgame.MAX_COLS
+wide, one lookup in the exact endgame table decides each value: it passes
+iff some completion meets the remaining budget. Everywhere else the screens
+are counting, a discord-budget window, toggle capacity and the exact
+single-one check, plus, in the endgame of wider grids, an LP feasibility
+check over the cut-polytope relaxation.
 
 All screens are sound (they never exclude a value that still admits a fiber
 completion), which makes the proposal strictly positive on the whole fiber;
 rejection handles everything the screens fail to catch, and rejected trials
-simply carry zero importance weight.
+simply carry zero importance weight. The exact endgame leaves nothing to
+catch: a trial rejects at its first cell or not at all, and on a nonempty
+fiber of a grid of at most lp_cell_threshold + 1 cells no trial rejects.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from math import exp, log
 import numpy as np
 
 from .cutlp import state_lp_feasible
+from .endgame import endgame_table
 from .grid import BinaryTable, SuffStats, topology
 
 UNKNOWN = -1
@@ -214,18 +224,25 @@ def run_trial(
 ) -> Draw:
     """One trial driven by one uniform per cell: the sampler's only step.
 
-    At each raster cell the screens run for value 0, then for value 1:
+    At each raster cell the screens run for value 0, then for value 1. When
+    at most lp_cell_threshold cells remain after the cell and the endgame
+    table exists for the shape (cols <= endgame.MAX_COLS, and the last
+    lp_cell_threshold cells carry fewer than 64 edges), one lookup per value
+    is the whole screen: the value passes iff some completion places exactly
+    the r1' remaining ones and r2' remaining discordant edges.
+    lp_ratio_threshold plays no part there. Otherwise the screens are
     counting (the ones still to place fit in the cells after it), the discord
-    budget (the remaining discord r2' is nonnegative and fits in the edges not
-    yet determined), toggle capacity (r2' differs from the frontier baseline
-    f1, the discord the all-zero completion would add, by at most what the r1'
-    remaining ones can flip: the sum of the r1' largest free degrees), then
-    either the exact single-one check (r1' = 1) or, when at most
-    lp_cell_threshold cells remain and r2' <= lp_ratio_threshold * r1', the LP
-    check through state_lp_feasible. Naive mode keeps only counting. When both
-    values pass, value 1 is taken iff the cell's uniform is below P[1], and
-    the taken branch's probability enters log_q; a single feasible value is a
-    forced move.
+    budget (the remaining discord r2' is nonnegative and fits in the edges
+    not yet determined), toggle capacity (r2' differs from the frontier
+    baseline f1, the discord the all-zero completion would add, by at most
+    what the r1' remaining ones can flip: the sum of the r1' largest free
+    degrees), then either the exact single-one check (r1' = 1) or, when at
+    most lp_cell_threshold cells remain on a grid without the table and
+    r2' <= lp_ratio_threshold * r1', the LP check through state_lp_feasible.
+    lp_enabled=False turns both endgame screens off. Naive mode keeps only
+    counting. When both values pass, value 1 is taken iff the cell's uniform
+    is below P[1], and the taken branch's probability enters log_q; a single
+    feasible value is a forced move.
 
     step_cache, keyed by the exact determined prefix, memoizes each step's
     verdicts, P[1] and state updates; it pays only on small grids, where
@@ -234,8 +251,14 @@ def run_trial(
     topo = topology(rows, cols)
     capacity = topo.toggle_capacity
     naive = config.naive_proposal
-    # LP checks need rc_after <= lp_cells; -1 switches them off
-    lp_cells = config.lp_cell_threshold if config.lp_enabled and not naive else -1
+    screened = config.lp_enabled and not naive
+    exact = endgame_table(rows, cols, config.lp_cell_threshold) if screened else None
+    # the endgame screen runs where rc_after <= exact_cells, LP checks where
+    # rc_after <= lp_cells; -1 switches either off
+    exact_cells = config.lp_cell_threshold if exact is not None else -1
+    lp_cells = config.lp_cell_threshold if screened and exact is None else -1
+    wmask = (1 << cols) - 1
+    track = step_cache is not None or exact is not None  # whether key is kept
     lp_ratio = config.lp_ratio_threshold
     eps = config.rho_clamp
     one_minus_eps = 1.0 - eps
@@ -248,7 +271,9 @@ def run_trial(
     r1, r2 = stats.t1, stats.t2  # ones and discord still to place
     f1 = 0  # frontier edges whose determined endpoint is a one
     log_q = 0.0
-    key = 1  # step-cache key: a leading 1, then the values placed so far
+    # a leading 1, then the values placed so far: the step-cache key, and its
+    # low cols bits are the endgame frontier
+    key = 1
     p1 = 1.0  # P[1]; read only where both values pass
 
     for idx, rc_after, up, lf, fw, nb_det, open_after, eff1, fro1, deg4 in topo.raster_steps:
@@ -261,41 +286,49 @@ def run_trial(
             f1a0 = f1 - ones
             r2p1 = r2 - nb_det + ones
             f1a1 = f1a0 + fw
-            # value 0: r1' = r1
-            if r1 > rc_after:
-                ok0 = False
-            elif naive:
-                ok0 = True
-            elif r2p0 < 0 or r2p0 > open_after:
-                ok0 = False
-            else:
-                diff = abs(r2p0 - f1a0)
-                if diff > r1 and diff > (4 * r1 if r1 <= deg4 else capacity(idx + 1, r1)):
-                    ok0 = False
-                elif r1 == 1 and rc_after <= EXACT_ONE_LIMIT:
-                    ok0 = _single_one_feasible(topo, cells, idx, 0, f1a0, r2p0)
-                elif r1 and rc_after <= lp_cells and r2p0 <= lp_ratio * r1:
-                    ok0 = _lp_feasible_cached(rows, cols, cells, idx, 0, r1, r2p0, lp_cache)
-                else:
-                    ok0 = True
-            # value 1: r1' = r1 - 1
             r1p = r1 - 1
-            if r1p < 0 or r1p > rc_after:
-                ok1 = False
-            elif naive:
-                ok1 = True
-            elif r2p1 < 0 or r2p1 > open_after:
-                ok1 = False
+            if rc_after <= exact_cells:
+                # the exact endgame: bit r2' of the set for r1' and the
+                # frontier after the cell, in place of the screens below
+                level = exact[idx + 1]
+                w0 = (key + key) & wmask
+                ok0 = r1 <= rc_after and r2p0 >= 0 and (level[w0, r1] >> r2p0) & 1
+                ok1 = 0 <= r1p <= rc_after and r2p1 >= 0 and (level[w0 + 1, r1p] >> r2p1) & 1
             else:
-                diff = abs(r2p1 - f1a1)
-                if diff > r1p and diff > (4 * r1p if r1p <= deg4 else capacity(idx + 1, r1p)):
-                    ok1 = False
-                elif r1p == 1 and rc_after <= EXACT_ONE_LIMIT:
-                    ok1 = _single_one_feasible(topo, cells, idx, 1, f1a1, r2p1)
-                elif r1p and rc_after <= lp_cells and r2p1 <= lp_ratio * r1p:
-                    ok1 = _lp_feasible_cached(rows, cols, cells, idx, 1, r1p, r2p1, lp_cache)
+                # value 0: r1' = r1
+                if r1 > rc_after:
+                    ok0 = False
+                elif naive:
+                    ok0 = True
+                elif r2p0 < 0 or r2p0 > open_after:
+                    ok0 = False
                 else:
+                    diff = abs(r2p0 - f1a0)
+                    if diff > r1 and diff > (4 * r1 if r1 <= deg4 else capacity(idx + 1, r1)):
+                        ok0 = False
+                    elif r1 == 1 and rc_after <= EXACT_ONE_LIMIT:
+                        ok0 = _single_one_feasible(topo, cells, idx, 0, f1a0, r2p0)
+                    elif r1 and rc_after <= lp_cells and r2p0 <= lp_ratio * r1:
+                        ok0 = _lp_feasible_cached(rows, cols, cells, idx, 0, r1, r2p0, lp_cache)
+                    else:
+                        ok0 = True
+                # value 1: r1' = r1 - 1
+                if r1p < 0 or r1p > rc_after:
+                    ok1 = False
+                elif naive:
                     ok1 = True
+                elif r2p1 < 0 or r2p1 > open_after:
+                    ok1 = False
+                else:
+                    diff = abs(r2p1 - f1a1)
+                    if diff > r1p and diff > (4 * r1p if r1p <= deg4 else capacity(idx + 1, r1p)):
+                        ok1 = False
+                    elif r1p == 1 and rc_after <= EXACT_ONE_LIMIT:
+                        ok1 = _single_one_feasible(topo, cells, idx, 1, f1a1, r2p1)
+                    elif r1p and rc_after <= lp_cells and r2p1 <= lp_ratio * r1p:
+                        ok1 = _lp_feasible_cached(rows, cols, cells, idx, 1, r1p, r2p1, lp_cache)
+                    else:
+                        ok1 = True
 
             if ok0 and ok1:
                 if naive:
@@ -363,7 +396,7 @@ def run_trial(
         else:
             r2 = r2p0
             f1 = f1a0
-        if step_cache is not None:
+        if track:
             key = key + key + v
 
     if r1 or r2:

@@ -5,10 +5,16 @@ time (`feasible_values`), the Gaussian branch weight one operation at a time
 (`branch_probabilities`) and the trial as a loop over them
 (`reference_trial`), with no caches and no shortcuts. `run_trial` must equal
 `reference_trial` Draw for Draw, `log_q` bits included.
+
+Where the sampler's endgame table applies, the reference decides a value by
+`completable`, a forward search over completions that shares no code with
+the table.
 """
 
+from functools import lru_cache
 from math import exp, log
 
+from isingfiber.endgame import endgame_table
 from isingfiber.grid import BinaryTable, topology
 from isingfiber.sampler import (
     EXACT_ONE_LIMIT,
@@ -43,16 +49,63 @@ def after_state(state, v):
     return disc_after, f1_after
 
 
+@lru_cache(maxsize=None)
+def completable(rows, cols, k, frontier, r1, r2):
+    """Whether cells k.. of a rows x cols grid can hold exactly r1 ones and
+    add exactly r2 discordant edges, given frontier = the values of cells
+    k - cols .. k - 1 (cells before 0 read as 0; no edge reaches them)."""
+    n = rows * cols
+    if r1 < 0 or r2 < 0 or r1 > n - k:
+        return False
+    if k == n:
+        return r1 == 0 and r2 == 0
+    for v in (0, 1):
+        d = 0
+        if k >= cols and frontier[0] != v:
+            d += 1
+        if k % cols and frontier[-1] != v:
+            d += 1
+        if completable(rows, cols, k + 1, frontier[1:] + (v,), r1 - v, r2 - d):
+            return True
+    return False
+
+
+def frontier_of(cells, cols, k):
+    """The values of cells k - cols .. k - 1, with 0 before cell 0."""
+    return tuple(cells[c] if c >= 0 else 0 for c in range(k - cols, k))
+
+
+def endgame_applies(state, config):
+    """Whether run_trial screens the next cell with its endgame table."""
+    rc_after = state.rows * state.cols - state.next_index - 1
+    return (
+        config.lp_enabled
+        and not config.naive_proposal
+        and rc_after <= config.lp_cell_threshold
+        and endgame_table(state.rows, state.cols, config.lp_cell_threshold) is not None
+    )
+
+
 def feasible_values(state, stats, config, lp_cache=None):
     """Values at the next cell that pass every enabled screen: counting, the
     discord budget and toggle capacity, then the exact single-one check or
-    the LP. In naive mode only the counting screen applies."""
+    the LP; in the endgame, exactly the values that admit a completion. In
+    naive mode only the counting screen applies."""
     if state.next_index >= state.rows * state.cols:
         raise ValueError("state has no unknown cell")
     topo = topology(state.rows, state.cols)
     idx = state.next_index
     rc_after = topo.n_cells - idx - 1
     nb_det = (topo.up[idx] >= 0) + (topo.left[idx] >= 0)
+    if endgame_applies(state, config):
+        out = []
+        for v in (0, 1):
+            disc_after, _ = after_state(state, v)
+            r1p = stats.t1 - state.placed_ones - v
+            frontier = frontier_of(state.cells[:idx] + [v], state.cols, idx + 1)
+            if completable(state.rows, state.cols, idx + 1, frontier, r1p, stats.t2 - disc_after):
+                out.append(v)
+        return tuple(out)
     out = []
     for v in (0, 1):
         r1p = stats.t1 - state.placed_ones - v

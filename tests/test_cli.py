@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from isingfiber.cli import main
-from isingfiber.grid import parse_table
+from isingfiber.grid import BinaryTable, ParseError, format_table, parse_table
 
 
 def run_cli(capsys, *args):
@@ -141,7 +144,7 @@ class TestTest:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["delta"] == 1.0
         assert payload["p1"] == 0.0
         assert payload["p2"] == pytest.approx(1.0)
@@ -164,7 +167,9 @@ class TestTest:
 
         monkeypatch.setattr(isingfiber.simplex, "MAX_ITER", 1)
         path = tmp_path / "t.txt"
-        path.write_text("1111\n0100\n0000\n0000\n")  # (t1, t2) = (5, 6) runs the LP screen
+        # (t1, t2) = (5, 7) on 12 columns, above the endgame table's width
+        # cap, runs the LP screen
+        path.write_text("111100000000\n010000000000\n000000000000\n000000000000\n")
         code, out, err = run_cli(capsys, "test", str(path), "-n", "20")
         assert code == 2
         assert out == ""
@@ -208,6 +213,100 @@ class TestTest:
             capsys, "test", str(path), "-n", "200", "--seed", "1", "--stat", "uprime"
         )
         assert json.loads(out)["observed_stat"] == 0
+
+
+def strict_json(text):
+    """json.loads that refuses Infinity and NaN, as RFC 8259 does."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestJsonOutput:
+    def test_overflowing_fiber_size_is_null(self, capsys, tmp_path):
+        # a 50x50 fiber at 20% ones has more than 1e308 members
+        rng = np.random.default_rng(5)
+        cells = (rng.random(2500) < 0.2).astype(int).tolist()
+        path = tmp_path / "t.txt"
+        path.write_text(format_table(BinaryTable(50, 50, tuple(cells))))
+        code, out, _ = run_cli(capsys, "test", str(path), "-n", "10", "--seed", "1")
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["schema"] == 2
+        assert payload["fiber_size_estimate"] is None and payload["fiber_size_se"] is None
+        assert payload["log_fiber_size_estimate"] > 709.0
+
+
+def table_texts():
+    """Table files: 1xn, nx1 and small grids, constant tables among them,
+    with LF or CRLF line endings and an optional trailing blank line."""
+    shape = st.one_of(
+        st.tuples(st.just(1), st.integers(1, 12)),
+        st.tuples(st.integers(1, 12), st.just(1)),
+        st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    )
+
+    @st.composite
+    def build(draw):
+        rows, cols = draw(shape)
+        fill = draw(st.sampled_from(["random", "zeros", "ones"]))
+        if fill == "random":
+            cells = draw(st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols))
+        else:
+            cells = [int(fill == "ones")] * (rows * cols)
+        table = BinaryTable(rows, cols, tuple(cells))
+        newline = draw(st.sampled_from(["\n", "\r\n"]))
+        text = format_table(table).replace("\n", newline)
+        if draw(st.booleans()):
+            text += newline
+        return table, text
+
+    return build()
+
+
+class TestFuzz:
+    @given(st.text(alphabet="01 \r\n\tx", max_size=40))
+    def test_parse_table_returns_a_table_or_raises_parse_error(self, text):
+        try:
+            table = parse_table(text)
+        except ParseError:
+            return
+        assert table.rows >= 1 and table.cols >= 1
+
+    @given(table_texts())
+    def test_parse_table_reads_crlf_and_a_trailing_blank_line(self, case):
+        table, text = case
+        assert parse_table(text) == table
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        table_texts(),
+        st.integers(1, 30),
+        st.one_of(st.none(), st.tuples(st.integers(-1, 30), st.integers(-1, 50))),
+    )
+    @example((BinaryTable(2, 2, (1, 0, 0, 0)), "10\r\n00\r\n\r\n"), 20, (1, 3))  # empty fiber
+    @example((BinaryTable(1, 1, (1,)), "1\n"), 5, None)
+    def test_every_input_ends_in_a_report_or_a_clean_exit(
+        self, capsys, tmp_path, case, n, override
+    ):
+        _, text = case
+        path = tmp_path / "t.txt"
+        path.write_bytes(text.encode())
+        args = ["test", str(path), "-n", str(n), "--seed", "3"]
+        if override is not None:
+            args += ["--t1", str(override[0]), "--t2", str(override[1])]
+        code, out, err = run_cli_exit(capsys, *args)
+        assert code in (0, 1, 2), err
+        if code == 0:
+            assert strict_json(out)["n_trials"] == n
+        else:
+            assert out == "" and err.startswith("error: ")
 
 
 def test_unknown_subcommand(capsys):

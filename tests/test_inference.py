@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from isingfiber import inference
-from isingfiber.grid import BinaryTable, SuffStats
+from isingfiber.grid import BinaryTable, SuffStats, u_prime_stat, u_stat
 from isingfiber.inference import (
     EmptyFiberSampleError,
     TestReport,
@@ -16,6 +17,7 @@ from isingfiber.inference import (
     ess,
     report_from_batch,
     run_exact_test,
+    window_stats,
 )
 from isingfiber.models import IsingParams, gibbs_ising
 from isingfiber.sampler import SamplerConfig
@@ -160,6 +162,33 @@ class TestLogSpaceSafety:
         assert p[1] == pytest.approx(ps[1], rel=1e-10)
 
 
+class TestWindowStats:
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 6), (6, 1), (2, 2), (3, 5), (7, 4)])
+    def test_equals_the_table_by_table_counts(self, rows, cols):
+        rng = np.random.default_rng(rows * 10 + cols)
+        cells = (rng.random((200, rows, cols)) < rng.uniform(0.2, 0.8, (200, 1, 1))).astype(np.int8)
+        u, uprime = window_stats(cells)
+        for x, got_u, got_up in zip(cells, u, uprime):
+            table = BinaryTable(rows, cols, tuple(int(v) for v in x.ravel()))
+            assert (got_u, got_up) == (u_stat(table), u_prime_stat(table))
+
+    def test_batch_statistics_of_accepted_trials(self):
+        # without the endgame screen some trials reject, across three blocks
+        from isingfiber.sampler import run_trial, uniform_rows
+
+        stats, cfg = SuffStats(5, 6), SamplerConfig(lp_enabled=False)
+        batch = collect_trials(4, 4, stats, cfg, seed=3, n_trials=600)
+        assert 0 < batch.n_accepted < 600
+        assert (batch.stat_u[~batch.accepted] == -1).all()
+        assert (batch.stat_uprime[~batch.accepted] == -1).all()
+        # each accepted trial's statistics equal u_stat/u_prime_stat of its table
+        uniforms = uniform_rows(3, 16, 0, 600)
+        for i in np.flatnonzero(batch.accepted)[::3]:
+            draw = run_trial(4, 4, stats, cfg, uniforms[i])
+            assert batch.stat_u[i] == u_stat(draw.table)
+            assert batch.stat_uprime[i] == u_prime_stat(draw.table)
+
+
 class TestBatchDriver:
     def test_collect_matches_fiber(self):
         stats = SuffStats(3, 8)
@@ -256,6 +285,9 @@ class TestBatchDriver:
         payload = report.json_payload(seed=1, config={})
         assert math.isfinite(payload["log_fiber_size_estimate"])
         assert math.isfinite(payload["log_fiber_size_se"])
+        # JSON has no Infinity: the overflowing fields are null
+        assert payload["fiber_size_estimate"] is None and payload["fiber_size_se"] is None
+        json.dumps(payload, allow_nan=False)
 
     def test_run_exact_test_overrides(self):
         table = BinaryTable(2, 2, (1, 0, 0, 0))
@@ -273,7 +305,7 @@ class TestBatchDriver:
     def test_json_payload_fields(self):
         report = TestReport(10, 8, 0.8, 0.1, 0.2, 0.5, 10 / 1.5, 4.0, 0.3, math.log(4.0), 0.075, 1, "u")
         payload = report.json_payload(seed=9, config={"rows": 2})
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["seed"] == 9
         assert set(payload) == {
             "schema",

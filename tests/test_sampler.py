@@ -240,6 +240,35 @@ REFERENCE_CONFIGS = {
 }
 
 
+class _CountedLevel:
+    """An endgame level that records each lookup."""
+
+    def __init__(self, level, lookups):
+        self.level, self.lookups = level, lookups
+
+    def __getitem__(self, index):
+        self.lookups.append(index)
+        return self.level[index]
+
+
+def count_endgame_lookups(monkeypatch):
+    """Route run_trial's endgame tables through _CountedLevel; returns the
+    list the lookups go to."""
+    import isingfiber.sampler as sampler
+
+    lookups = []
+    table_of = sampler.endgame_table
+
+    def counted(*args):
+        levels = table_of(*args)
+        if levels is None:
+            return None
+        return tuple(None if lv is None else _CountedLevel(lv, lookups) for lv in levels)
+
+    monkeypatch.setattr(sampler, "endgame_table", counted)
+    return lookups
+
+
 class TestReferenceStep:
     @pytest.mark.parametrize("config_name", sorted(REFERENCE_CONFIGS))
     @pytest.mark.parametrize("rows, cols, stats, trials, cached", _reference_grids())
@@ -251,6 +280,7 @@ class TestReferenceStep:
         lp_calls = []
         solve = sampler.state_lp_feasible
         monkeypatch.setattr(sampler, "state_lp_feasible", lambda *key: lp_calls.append(key) or solve(*key))
+        lookups = count_endgame_lookups(monkeypatch)
         config = REFERENCE_CONFIGS[config_name]
         uniforms = uniform_rows(rows * cols + trials, rows * cols, 0, trials)
         lp_cache = {}
@@ -266,7 +296,10 @@ class TestReferenceStep:
         # naive trials on large grids almost never land on the fiber
         assert accepted > 0 or (config_name == "naive" and rows * cols > 25)
         if config_name == "default" and 6 <= rows < 20:
-            assert lp_calls  # the LP screen is on the path compared
+            # the endgame screen is on the path compared, in place of the LP
+            assert lookups and not lp_calls
+        if rows == 20:
+            assert not lookups  # 20 columns: above the table's width cap
 
 
 class TestSupport:
@@ -290,14 +323,16 @@ class TestSupport:
 
     def test_replay_names_the_first_cell_it_cannot_follow(self, monkeypatch):
         # with an unsound single-one screen patched in, value 0 at cell 0 is
-        # excluded: (0, 0, 1) is drawn as (1, 0, 0), and (0, 1, 0) is rejected
+        # excluded: (0, 0, 1) is drawn as (1, 0, 0), and (0, 1, 0) is
+        # rejected. The screen runs without the endgame table, so --no-lp.
         import isingfiber.sampler as sampler
 
         monkeypatch.setattr(sampler, "_single_one_feasible", lambda *args: False)
+        cfg = SamplerConfig(lp_enabled=False)
         with pytest.raises(OffFiberError, match="value 0 at cell 0 is outside"):
-            replay_log_q(BinaryTable(1, 3, (0, 0, 1)), SuffStats(1, 1), CFG)
+            replay_log_q(BinaryTable(1, 3, (0, 0, 1)), SuffStats(1, 1), cfg)
         with pytest.raises(OffFiberError, match="rejects the table at cell 0"):
-            replay_log_q(BinaryTable(1, 3, (0, 1, 0)), SuffStats(1, 2), CFG)
+            replay_log_q(BinaryTable(1, 3, (0, 1, 0)), SuffStats(1, 2), cfg)
 
     def test_replay_rejects_off_fiber_table(self):
         with pytest.raises(OffFiberError):
@@ -372,9 +407,11 @@ class TestLPCacheKey:
     @pytest.mark.parametrize("rows, cols", [(4, 4), (6, 6)])
     def test_cached_and_uncached_trials_agree(self, rows, cols, monkeypatch):
         # the LP cache key (k, window, r1, r2) is complete: reusing a cached
-        # verdict never changes a trial
+        # verdict never changes a trial. The endgame table is taken away, so
+        # the LP screens these grids as it does grids above the width cap.
         import isingfiber.sampler as sampler
 
+        monkeypatch.setattr(sampler, "endgame_table", lambda *args: None)
         calls = []
         solve = sampler.state_lp_feasible
         monkeypatch.setattr(sampler, "state_lp_feasible", lambda *key: calls.append(key) or solve(*key))
