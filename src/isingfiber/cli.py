@@ -2,8 +2,7 @@
 
 Standard output carries exactly one JSON document or one table; progress and
 wall-clock notes go to standard error. Exit codes: 0 success, 1 usage or parse
-failure, 2 degenerate outcome (no accepted trial, or an LP screen that hit the
-simplex iteration limit).
+failure, 2 degenerate outcome (no accepted trial).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .inference import EmptyFiberSampleError, run_exact_test
 from .models import AutologisticParams, IsingParams, gibbs_autologistic, gibbs_ising
 from .oracle import CapExceededError, enumerate_fiber, exact_pvalues
 from .sampler import SamplerConfig
-from .simplex import SimplexIterationLimit
 
 USAGE_EXIT = 1
 DEGENERATE_EXIT = 2
@@ -98,7 +96,6 @@ def cmd_test(args) -> int:
     table = _read_table(args.table)
     config = SamplerConfig(
         lp_cell_threshold=args.lp_cells,
-        lp_ratio_threshold=args.lp_ratio,
         rho_clamp=args.rho_clamp,
         lp_enabled=not args.no_lp,
         naive_proposal=args.naive_proposal,
@@ -124,7 +121,6 @@ def cmd_test(args) -> int:
         "n_samples": args.samples,
         "stat": args.stat,
         "lp_cell_threshold": config.lp_cell_threshold,
-        "lp_ratio_threshold": config.lp_ratio_threshold,
         "rho_clamp": config.rho_clamp,
         "lp_enabled": config.lp_enabled,
         "naive_proposal": config.naive_proposal,
@@ -195,16 +191,11 @@ def build_parser() -> _Parser:
         type=int,
         default=20,
         help="endgame length: a cell followed by at most this many cells is screened "
-        "by the exact endgame table (grids up to 10 columns) or by the LP",
-    )
-    ts.add_argument(
-        "--lp-ratio",
-        type=float,
-        default=2.0,
-        help="the LP screens a value only where remaining discord <= LP_RATIO * remaining ones",
+        "exactly, by a table of the achievable remaining budgets (on grids wider than "
+        "10 columns, at most cols - 1 cells: the last row's)",
     )
     ts.add_argument("--rho-clamp", type=float, default=1e-3)
-    ts.add_argument("--no-lp", action="store_true", help="turn both endgame screens off")
+    ts.add_argument("--no-lp", action="store_true", help="turn the exact endgame screen off")
     ts.add_argument("--naive-proposal", action="store_true")
     ts.add_argument("--t1", type=int, default=None, help="override the conditioning t1")
     ts.add_argument("--t2", type=int, default=None, help="override the conditioning t2")
@@ -229,7 +220,7 @@ def main(argv=None) -> int:
     except (ParseError, CapExceededError, ValueError, OSError) as exc:
         _log(f"error: {exc}")
         return USAGE_EXIT
-    except (EmptyFiberSampleError, SimplexIterationLimit) as exc:
+    except EmptyFiberSampleError as exc:
         _log(f"error: {exc}")
         return DEGENERATE_EXIT
 

@@ -12,8 +12,8 @@ exclude an impossible one.
 Every LP here is posed on a raster state, a determined prefix of k cells,
 whose rows depend on the determined values only through their right-hand
 side. state_template builds those rows once per (rows, cols, k), and it is
-the only place the LP is built: the sampler's feasibility check maps the
-window of the last cols + 1 determined cells to b_ub, cell_bounds minimizes
+the only place the LP is built: the feasibility check state_lp_feasible maps
+the window of the last cols + 1 determined cells to b_ub, cell_bounds minimizes
 and maximizes one free cell over the same rows, and the membership check of
 a full cut vector reads the rows of the empty state.
 """

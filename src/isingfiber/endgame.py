@@ -1,19 +1,22 @@
 """The exact endgame: which (ones, discord) budgets the last raster cells can meet.
 
-A backward transfer-matrix recursion over the last L raster cells. Once k cells
-are determined, a completion's discord depends on the prefix only through its
-last `cols` values, the frontier: every undetermined cell's up neighbour lies
-among them, and its left neighbour is either the newest of them or
-undetermined. So for each determined count k, frontier value w (bit j holds
-cell k - 1 - j) and count r1 of ones still to place, one 64-bit set holds
-every remaining discord r2 that some completion achieves: bit r2 of
-levels[k][w, r1]. Level n is bit 0 at r1 = 0; level k is built from level
-k + 1 in a few numpy passes over the two values of cell k.
+Both tables are indexed by the number m of cells left: bit r2 of
+levels[m][w, r1] is set iff some completion of those cells places r1 ones and
+adds r2 discordant edges, given w, the part of the prefix they see.
 
-The table depends on the grid shape and L only, not on (t1, t2), so one cached
-table serves every test on a shape. It exists where the frontier has at most
-MAX_COLS cells (2^cols windows) and every discord the last L cells can carry
-fits in 64 bits: at most 2L, so any L <= 31 on such grids.
+`endgame_table` serves grids at most MAX_COLS wide: a backward transfer-matrix
+recursion over the last L raster cells. A completion's discord depends on the
+prefix only through its last `cols` values, the frontier w (bit j holds cell
+k - 1 - j): every undetermined cell's up neighbour lies among them, and its
+left neighbour is either the newest of them or undetermined. The table
+depends on the shape and L only, so one cached table serves every test on a
+shape. Its sets are 64-bit words, so it exists only where every discord the
+last L cells can carry fits: at most 2L, so any L <= 31.
+
+`row_endgame` serves every other grid, over its last min(L, cols - 1) cells.
+They lie in the last row, below determined cells, so w is the left value of
+the first of them. The table depends on the row above, so each trial builds
+its own; its sets are Python ints, with no width or bit cap.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ BITS = 64
 def endgame_table(rows: int, cols: int, cells: int) -> tuple | None:
     """The levels covering the last `cells` raster cells, or None where the
     table does not apply (cols above MAX_COLS, or a discord budget that does
-    not fit in 64 bits). levels[k] is a (2^cols, n - k + 1) memoryview of
-    uint64 sets for k >= n - cells, and None below. Cached: run_trial asks
-    for it once per trial."""
+    not fit in 64 bits). levels[m] is a (2^cols, m + 1) memoryview of
+    uint64 sets for m <= min(cells, rows * cols). Cached: run_trial asks for
+    it once per trial."""
     if cols > MAX_COLS:
         return None
     topo = topology(rows, cols)
@@ -49,8 +52,7 @@ def endgame_table(rows: int, cols: int, cells: int) -> tuple | None:
     after0 = ((w << 1) & (size - 1)).astype(np.intp)  # the frontier once cell k is placed
     after1 = after0 | 1
     nxt = np.ones((size, 1), dtype=np.uint64)
-    levels = [None] * (n + 1)
-    levels[n] = memoryview(nxt)
+    levels = [memoryview(nxt)]
     for k in range(n - 1, first - 1, -1):
         has_up, has_left = k >= cols, k % cols != 0
         d0 = up * has_up + left * has_left  # discord cell k adds with value 0
@@ -58,6 +60,26 @@ def endgame_table(rows: int, cols: int, cells: int) -> tuple | None:
         cur = np.zeros((size, n - k + 1), dtype=np.uint64)
         cur[:, :-1] = nxt[after0] << d0[:, None]
         cur[:, 1:] |= nxt[after1] << d1[:, None]
-        levels[k] = memoryview(cur)
+        levels.append(memoryview(cur))
         nxt = cur
     return tuple(levels)
+
+
+def row_endgame(ups, ones: int) -> list[dict]:
+    """The levels covering the last len(ups) cells of a row whose cells all
+    have a left neighbour: levels[m] maps (w, r1), for the left value w and
+    r1 <= ones, to the set of discords the last m cells can add. ups holds
+    the values of their up neighbours, -1 where there is none."""
+    nxt = {(w, r): int(r == 0) for w in (0, 1) for r in range(ones + 1)}
+    levels = [nxt]
+    for u in reversed(ups):
+        cur = {}
+        for w in (0, 1):
+            d0 = (u == 1) + (w == 1)  # discord the cell adds with value 0
+            d1 = (u == 0) + (w == 0)
+            cur[w, 0] = nxt[0, 0] << d0
+            for r in range(1, ones + 1):
+                cur[w, r] = nxt[0, r] << d0 | nxt[1, r - 1] << d1
+        levels.append(cur)
+        nxt = cur
+    return levels

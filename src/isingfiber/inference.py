@@ -48,9 +48,10 @@ class TestReport:
     def json_payload(self, seed: int, config: dict) -> dict:
         """The report as JSON values. JSON (RFC 8259) has no Infinity, so a
         non-finite float (a fiber-size estimate past the double range)
-        becomes None, JSON's null; schema 2 is the first to do so."""
+        becomes None, JSON's null; schema 2 is the first to do so. Schema 3
+        drops lp_ratio_threshold from the config echo."""
         payload = {
-            "schema": 2,
+            "schema": 3,
             "n_trials": self.n_trials,
             "n_accepted": self.n_accepted,
             "delta": self.delta,
@@ -194,7 +195,7 @@ def window_stats(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, uprime
 
 
-def _run_range(rows, cols, stats, config, seed, start, stop, lp_cache, step_cache):
+def _run_range(rows, cols, stats, config, seed, start, stop, step_cache):
     n_cells = rows * cols
     count = stop - start
     accepted = np.zeros(count, dtype=bool)
@@ -208,7 +209,7 @@ def _run_range(rows, cols, stats, config, seed, start, stop, lp_cache, step_cach
         uniforms = uniform_rows(seed, n_cells, block, block_stop - block)
         n_acc = 0
         for i in range(block, block_stop):
-            draw = run_trial(rows, cols, stats, config, uniforms[i - block], lp_cache, step_cache)
+            draw = run_trial(rows, cols, stats, config, uniforms[i - block], step_cache=step_cache)
             k = i - start
             if draw.accepted:
                 accepted[k] = True
@@ -227,9 +228,8 @@ def _worker(args):
     rows, cols, t1, t2, config_kwargs, seed, start, stop = args
     stats = SuffStats(t1, t2)
     config = SamplerConfig(**config_kwargs)
-    return start, _run_range(
-        rows, cols, stats, config, seed, start, stop, {}, new_step_cache(rows, cols)
-    )
+    step_cache = new_step_cache(rows, cols)
+    return start, _run_range(rows, cols, stats, config, seed, start, stop, step_cache)
 
 
 def collect_trials(
@@ -259,7 +259,7 @@ def collect_trials(
 
     if workers <= 1:
         step_cache = new_step_cache(rows, cols)
-        parts = [(0, _run_range(rows, cols, stats, config, seed, 0, n_trials, {}, step_cache))]
+        parts = [(0, _run_range(rows, cols, stats, config, seed, 0, n_trials, step_cache))]
     else:
         chunk = max(1, -(-n_trials // (workers * 4)))
         jobs = [

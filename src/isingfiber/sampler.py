@@ -9,20 +9,19 @@ exactly. `replay_log_q` runs the same loop with forcing uniforms, so the log
 proposal probability of an accepted table replays bit for bit by
 construction.
 
-The screens depend on the cell's place. At a cell followed by at most
-lp_cell_threshold cells (the endgame) of a grid at most endgame.MAX_COLS
-wide, one lookup in the exact endgame table decides each value: it passes
-iff some completion meets the remaining budget. Everywhere else the screens
-are counting, a discord-budget window, toggle capacity and the exact
-single-one check, plus, in the endgame of wider grids, an LP feasibility
-check over the cut-polytope relaxation.
+The screens depend on the cell's place (see run_trial). In the endgame, one
+lookup in an exact table of endgame.py decides each value: it passes iff
+some completion meets the remaining budget. Before it the screens are
+counting, a discord-budget window, toggle capacity and the exact single-one
+check.
 
 All screens are sound (they never exclude a value that still admits a fiber
 completion), which makes the proposal strictly positive on the whole fiber;
 rejection handles everything the screens fail to catch, and rejected trials
 simply carry zero importance weight. The exact endgame leaves nothing to
-catch: a trial rejects at its first cell or not at all, and on a nonempty
-fiber of a grid of at most lp_cell_threshold + 1 cells no trial rejects.
+catch after its first cell: a trial rejects there or before, or not at all,
+and on a nonempty fiber of a grid that lies wholly in the endgame no trial
+rejects.
 """
 
 from __future__ import annotations
@@ -32,8 +31,9 @@ from math import exp, log
 
 import numpy as np
 
-from .cutlp import state_lp_feasible
-from .endgame import endgame_table
+# not called here: bench/tracer.py wraps this attribute
+from .cutlp import state_lp_feasible  # noqa: F401
+from .endgame import endgame_table, row_endgame
 from .grid import BinaryTable, SuffStats, topology
 
 UNKNOWN = -1
@@ -53,7 +53,7 @@ def _var_scale(total_edges: int) -> float:
     return VAR_SCALE + (1.0 - VAR_SCALE) * exp(-total_edges / EDGE_RELAX)
 
 # exact placement search for the last remaining one is linear in the free
-# cells, so it is capped; beyond the cap the LP screen takes over
+# cells, so it is capped; beyond the cap the other screens stand alone
 EXACT_ONE_LIMIT = 128
 
 STEP_CACHE_CELL_LIMIT = 25
@@ -62,14 +62,13 @@ STEP_CACHE_CELL_LIMIT = 25
 @dataclass
 class SamplerConfig:
     lp_cell_threshold: int = 20
-    lp_ratio_threshold: float = 2.0
     rho_clamp: float = 1e-3  # floor on branch probabilities; keeps q > 0 on the fiber
     lp_enabled: bool = True
     naive_proposal: bool = False
 
     def __post_init__(self):
-        if self.lp_cell_threshold < 0 or self.lp_ratio_threshold < 0:
-            raise ValueError("LP trigger thresholds must be nonnegative")
+        if self.lp_cell_threshold < 0:
+            raise ValueError("lp_cell_threshold must be nonnegative")
         if not 0.0 < self.rho_clamp < 0.5:
             raise ValueError(f"rho_clamp must be in (0, 0.5), got {self.rho_clamp}")
 
@@ -185,27 +184,6 @@ def _single_one_feasible(topo, cells, idx: int, v: int, f1_after: int, r2p: int)
     return False
 
 
-def _lp_feasible_cached(
-    rows: int, cols: int, cells, idx: int, v: int, r1p: int, r2p: int, lp_cache: dict | None
-) -> bool:
-    """LP feasibility of the prefix extended with v, memoized by the key
-    (k, window, r1, r2) that state_lp_feasible takes: k = idx + 1, and the
-    window holds the last cols + 1 determined values, v among them."""
-    lo = idx - cols
-    if lo < 0:
-        lo = 0
-    window = v
-    for i in range(idx - 1, lo - 1, -1):
-        window = (window << 1) | cells[i]
-    key = (idx + 1, window, r1p, r2p)
-    if lp_cache is None:
-        return state_lp_feasible(rows, cols, *key)
-    ok = lp_cache.get(key)
-    if ok is None:
-        ok = lp_cache[key] = state_lp_feasible(rows, cols, *key)
-    return ok
-
-
 def new_step_cache(rows: int, cols: int) -> dict | None:
     """A fresh step cache for run_trial on grids of at most
     STEP_CACHE_CELL_LIMIT cells, where exact prefixes recur across trials;
@@ -219,31 +197,31 @@ def run_trial(
     stats: SuffStats,
     config: SamplerConfig,
     uniforms,
-    lp_cache: dict | None = None,
+    lp_cache=None,
     step_cache: dict | None = None,
 ) -> Draw:
     """One trial driven by one uniform per cell: the sampler's only step.
 
-    At each raster cell the screens run for value 0, then for value 1. When
-    at most lp_cell_threshold cells remain after the cell and the endgame
-    table exists for the shape (cols <= endgame.MAX_COLS, and the last
-    lp_cell_threshold cells carry fewer than 64 edges), one lookup per value
-    is the whole screen: the value passes iff some completion places exactly
-    the r1' remaining ones and r2' remaining discordant edges.
-    lp_ratio_threshold plays no part there. Otherwise the screens are
-    counting (the ones still to place fit in the cells after it), the discord
-    budget (the remaining discord r2' is nonnegative and fits in the edges
-    not yet determined), toggle capacity (r2' differs from the frontier
-    baseline f1, the discord the all-zero completion would add, by at most
-    what the r1' remaining ones can flip: the sum of the r1' largest free
-    degrees), then either the exact single-one check (r1' = 1) or, when at
-    most lp_cell_threshold cells remain on a grid without the table and
-    r2' <= lp_ratio_threshold * r1', the LP check through state_lp_feasible.
-    lp_enabled=False turns both endgame screens off. Naive mode keeps only
+    At each raster cell the screens run for value 0, then for value 1. In the
+    endgame one lookup per value is the whole screen: the value passes iff
+    some completion places exactly the r1' remaining ones and r2' remaining
+    discordant edges. The endgame is the last lp_cell_threshold cells where
+    the cached endgame_table exists for the shape (cols <= endgame.MAX_COLS,
+    and the last lp_cell_threshold cells carry fewer than 64 edges), and the
+    last min(lp_cell_threshold, cols - 1) cells elsewhere, with a row_endgame
+    table built at the first endgame cell for the ones still to place.
+    Before it the screens are counting (the ones still to place fit in the
+    cells after it), the discord budget (the remaining discord r2' is
+    nonnegative and fits in the edges not yet determined), toggle capacity
+    (r2' differs from the frontier baseline f1, the discord the all-zero
+    completion would add, by at most what the r1' remaining ones can flip:
+    the sum of the r1' largest free degrees), then the exact single-one check
+    (r1' = 1). lp_enabled=False turns the endgame off. Naive mode keeps only
     counting. When both values pass, value 1 is taken iff the cell's uniform
     is below P[1], and the taken branch's probability enters log_q; a single
     feasible value is a forced move.
 
+    lp_cache is accepted and ignored; bench/worker.py still passes it.
     step_cache, keyed by the exact determined prefix, memoizes each step's
     verdicts, P[1] and state updates; it pays only on small grids, where
     prefixes recur across trials (see new_step_cache).
@@ -253,13 +231,15 @@ def run_trial(
     naive = config.naive_proposal
     screened = config.lp_enabled and not naive
     exact = endgame_table(rows, cols, config.lp_cell_threshold) if screened else None
-    # the endgame screen runs where rc_after <= exact_cells, LP checks where
-    # rc_after <= lp_cells; -1 switches either off
-    exact_cells = config.lp_cell_threshold if exact is not None else -1
-    lp_cells = config.lp_cell_threshold if screened and exact is None else -1
-    wmask = (1 << cols) - 1
+    # the endgame runs where rc_after <= exact_cells; -1 switches it off. A
+    # row table reads only the left value, so its frontier mask is 0
+    if exact is not None:
+        exact_cells, wmask = config.lp_cell_threshold, (1 << cols) - 1
+    elif screened:
+        exact_cells, wmask = min(config.lp_cell_threshold, cols - 1), 0
+    else:
+        exact_cells, wmask = -1, 0
     track = step_cache is not None or exact is not None  # whether key is kept
-    lp_ratio = config.lp_ratio_threshold
     eps = config.rho_clamp
     one_minus_eps = 1.0 - eps
     scale = _var_scale(topo.n_edges)
@@ -288,9 +268,14 @@ def run_trial(
             f1a1 = f1a0 + fw
             r1p = r1 - 1
             if rc_after <= exact_cells:
-                # the exact endgame: bit r2' of the set for r1' and the
-                # frontier after the cell, in place of the screens below
-                level = exact[idx + 1]
+                if exact is None:
+                    # the first endgame cell this trial computes: the cells
+                    # after it lie below determined ones
+                    ups = [cells[u] if u >= 0 else -1 for u in topo.up[idx + 1 :]]
+                    exact = row_endgame(ups, r1)
+                # bit r2' of the set for r1' and the frontier after the cell,
+                # in place of the screens below
+                level = exact[rc_after]
                 w0 = (key + key) & wmask
                 ok0 = r1 <= rc_after and r2p0 >= 0 and (level[w0, r1] >> r2p0) & 1
                 ok1 = 0 <= r1p <= rc_after and r2p1 >= 0 and (level[w0 + 1, r1p] >> r2p1) & 1
@@ -308,8 +293,6 @@ def run_trial(
                         ok0 = False
                     elif r1 == 1 and rc_after <= EXACT_ONE_LIMIT:
                         ok0 = _single_one_feasible(topo, cells, idx, 0, f1a0, r2p0)
-                    elif r1 and rc_after <= lp_cells and r2p0 <= lp_ratio * r1:
-                        ok0 = _lp_feasible_cached(rows, cols, cells, idx, 0, r1, r2p0, lp_cache)
                     else:
                         ok0 = True
                 # value 1: r1' = r1 - 1
@@ -325,8 +308,6 @@ def run_trial(
                         ok1 = False
                     elif r1p == 1 and rc_after <= EXACT_ONE_LIMIT:
                         ok1 = _single_one_feasible(topo, cells, idx, 1, f1a1, r2p1)
-                    elif r1p and rc_after <= lp_cells and r2p1 <= lp_ratio * r1p:
-                        ok1 = _lp_feasible_cached(rows, cols, cells, idx, 1, r1p, r2p1, lp_cache)
                     else:
                         ok1 = True
 
@@ -408,9 +389,7 @@ class OffFiberError(ValueError):
     """Raised when replaying a table that is not in the target fiber."""
 
 
-def replay_log_q(
-    table: BinaryTable, stats: SuffStats, config: SamplerConfig, lp_cache: dict | None = None
-) -> float:
+def replay_log_q(table: BinaryTable, stats: SuffStats, config: SamplerConfig) -> float:
     """The exact log proposal probability of an on-fiber table.
 
     Runs run_trial with forcing uniforms, 0.0 at a one and 1.0 at a zero.
@@ -428,7 +407,7 @@ def replay_log_q(
             f"table has stats ({stat_t1(table)}, {stat_t2(table)}), expected {stats}"
         )
     forcing = [1.0 - v for v in table.cells]
-    draw = run_trial(table.rows, table.cols, stats, config, forcing, lp_cache)
+    draw = run_trial(table.rows, table.cols, stats, config, forcing)
     if not draw.accepted:
         raise OffFiberError(f"the proposal rejects the table at cell {draw.stage}")
     if draw.table != table:

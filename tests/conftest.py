@@ -62,3 +62,30 @@ def fibers_3x3():
     from isingfiber.oracle import nonempty_fibers
 
     return nonempty_fibers(3, 3)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Every state_lp_feasible call, made through the sampler's attribute or
+    cutlp's."""
+    import isingfiber.cutlp as cutlp
+    import isingfiber.sampler as sampler
+
+    calls = []
+    for module in (sampler, cutlp):
+        solve = module.state_lp_feasible
+        monkeypatch.setattr(
+            module, "state_lp_feasible", lambda *key, solve=solve: calls.append(key) or solve(*key)
+        )
+    return calls
+
+
+@pytest.fixture
+def row_tables(monkeypatch):
+    """The arguments of every row table run_trial builds."""
+    import isingfiber.sampler as sampler
+
+    builds = []
+    build = sampler.row_endgame
+    monkeypatch.setattr(sampler, "row_endgame", lambda *args: builds.append(args) or build(*args))
+    return builds

@@ -6,9 +6,9 @@ time (`feasible_values`), the Gaussian branch weight one operation at a time
 (`reference_trial`), with no caches and no shortcuts. `run_trial` must equal
 `reference_trial` Draw for Draw, `log_q` bits included.
 
-Where the sampler's endgame table applies, the reference decides a value by
-`completable`, a forward search over completions that shares no code with
-the table.
+In the sampler's endgame, the reference decides a value by `completable`, a
+forward search over completions that shares no code with either endgame
+table.
 """
 
 from functools import lru_cache
@@ -22,7 +22,6 @@ from isingfiber.sampler import (
     VAR_FLOOR,
     Draw,
     PartialTable,
-    _lp_feasible_cached,
     _single_one_feasible,
     _var_scale,
 )
@@ -75,29 +74,29 @@ def frontier_of(cells, cols, k):
     return tuple(cells[c] if c >= 0 else 0 for c in range(k - cols, k))
 
 
-def endgame_applies(state, config):
-    """Whether run_trial screens the next cell with its endgame table."""
-    rc_after = state.rows * state.cols - state.next_index - 1
-    return (
-        config.lp_enabled
-        and not config.naive_proposal
-        and rc_after <= config.lp_cell_threshold
-        and endgame_table(state.rows, state.cols, config.lp_cell_threshold) is not None
-    )
+def endgame_cells(rows, cols, config):
+    """How many cells follow the first endgame cell of run_trial, or -1
+    where it has no endgame: the last lp_cell_threshold cells under the
+    narrow table, else the last row's last min(lp_cell_threshold, cols - 1)."""
+    if not config.lp_enabled or config.naive_proposal:
+        return -1
+    if endgame_table(rows, cols, config.lp_cell_threshold) is not None:
+        return config.lp_cell_threshold
+    return min(config.lp_cell_threshold, cols - 1)
 
 
-def feasible_values(state, stats, config, lp_cache=None):
+def feasible_values(state, stats, config):
     """Values at the next cell that pass every enabled screen: counting, the
-    discord budget and toggle capacity, then the exact single-one check or
-    the LP; in the endgame, exactly the values that admit a completion. In
-    naive mode only the counting screen applies."""
+    discord budget and toggle capacity, then the exact single-one check; in
+    the endgame, exactly the values that admit a completion. In naive mode
+    only the counting screen applies."""
     if state.next_index >= state.rows * state.cols:
         raise ValueError("state has no unknown cell")
     topo = topology(state.rows, state.cols)
     idx = state.next_index
     rc_after = topo.n_cells - idx - 1
     nb_det = (topo.up[idx] >= 0) + (topo.left[idx] >= 0)
-    if endgame_applies(state, config):
+    if rc_after <= endgame_cells(state.rows, state.cols, config):
         out = []
         for v in (0, 1):
             disc_after, _ = after_state(state, v)
@@ -121,16 +120,6 @@ def feasible_values(state, stats, config, lp_cache=None):
                 continue
             if r1p == 1 and rc_after <= EXACT_ONE_LIMIT:
                 if not _single_one_feasible(topo, state.cells, idx, v, f1_after, r2p):
-                    continue
-            elif (
-                r1p >= 1
-                and config.lp_enabled
-                and rc_after <= config.lp_cell_threshold
-                and r2p <= config.lp_ratio_threshold * max(r1p, 1)
-            ):
-                if not _lp_feasible_cached(
-                    state.rows, state.cols, state.cells, idx, v, r1p, r2p, lp_cache
-                ):
                     continue
         out.append(v)
     return tuple(out)
@@ -179,12 +168,12 @@ def branch_probabilities(state, stats, config):
     return 1.0 - p1, p1
 
 
-def reference_trial(rows, cols, stats, config, uniforms, lp_cache=None):
+def reference_trial(rows, cols, stats, config, uniforms):
     """One trial: the screens, then the uniform picks 1 when it is below P[1]."""
     state = PartialTable.empty(rows, cols)
     log_q = 0.0
     for idx in range(rows * cols):
-        feasible = feasible_values(state, stats, config, lp_cache)
+        feasible = feasible_values(state, stats, config)
         if not feasible:
             return Draw.reject(idx)
         if len(feasible) == 2:

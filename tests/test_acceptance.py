@@ -257,10 +257,9 @@ def test_criterion_9_large_sparse_table():
     # the same sufficient statistics from the fiber itself
     stats = SuffStats(385, 1108)
     config = SamplerConfig()
-    lp_cache = {}
     synthetic = None
     for i in range(50):
-        draw = run_trial(14, 179, stats, config, uniform_rows(424242, 2506, i, 1)[0], lp_cache)
+        draw = run_trial(14, 179, stats, config, uniform_rows(424242, 2506, i, 1)[0])
         if draw.accepted:
             synthetic = draw.table
             break

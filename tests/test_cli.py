@@ -144,7 +144,7 @@ class TestTest:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert payload["delta"] == 1.0
         assert payload["p1"] == 0.0
         assert payload["p2"] == pytest.approx(1.0)
@@ -161,20 +161,6 @@ class TestTest:
         assert code == 2
         assert out == ""
         assert "empty fiber sample" in err
-
-    def test_simplex_iteration_limit_exits_two(self, capsys, tmp_path, monkeypatch):
-        import isingfiber.simplex
-
-        monkeypatch.setattr(isingfiber.simplex, "MAX_ITER", 1)
-        path = tmp_path / "t.txt"
-        # (t1, t2) = (5, 7) on 12 columns, above the endgame table's width
-        # cap, runs the LP screen
-        path.write_text("111100000000\n010000000000\n000000000000\n000000000000\n")
-        code, out, err = run_cli(capsys, "test", str(path), "-n", "20")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "iteration limit" in err
-        assert "Traceback" not in err
 
     def test_thread_count_does_not_change_output(self, capsys, tmp_path):
         path = tmp_path / "t.txt"
@@ -234,9 +220,29 @@ class TestJsonOutput:
         code, out, _ = run_cli(capsys, "test", str(path), "-n", "10", "--seed", "1")
         assert code == 0
         payload = strict_json(out)
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert payload["fiber_size_estimate"] is None and payload["fiber_size_se"] is None
         assert payload["log_fiber_size_estimate"] > 709.0
+
+    @pytest.mark.parametrize(
+        "rows, cols, extra",
+        [(1, 30, []), (10, 10, ["--lp-cells", "40"])],
+        ids=["1x30", "10x10-lp-cells-40"],
+    )
+    def test_row_endgame_shapes_end_in_a_report(self, capsys, tmp_path, rows, cols, extra):
+        # neither shape has the narrow endgame table (30 columns; the last
+        # 40 cells of 10x10 carry more than 64 edges), so the last row's
+        # exact table screens their endgame
+        rng = np.random.default_rng(rows * cols)
+        cells = (rng.random(rows * cols) < 0.3).astype(int).tolist()
+        path = tmp_path / "t.txt"
+        path.write_text(format_table(BinaryTable(rows, cols, tuple(cells))))
+        code, out, err = run_cli(capsys, "test", str(path), "-n", "200", "--seed", "4", *extra)
+        assert code == 0, err
+        payload = strict_json(out)
+        assert payload["schema"] == 3 and payload["n_trials"] == 200
+        assert payload["n_accepted"] > 0
+        assert "lp_ratio_threshold" not in payload["config"]
 
 
 def table_texts():

@@ -1,12 +1,12 @@
-"""The exact endgame table: its verdicts, and the proposal it makes exact."""
+"""The exact endgame tables: their verdicts, and the proposal they make exact."""
 
 import math
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 import pytest
 
-from isingfiber.endgame import MAX_COLS, endgame_table
+from isingfiber.endgame import MAX_COLS, endgame_table, row_endgame
 from isingfiber.grid import BinaryTable, SuffStats, t1, t2, topology
 from isingfiber.sampler import SamplerConfig, replay_log_q, run_trial, uniform_rows
 
@@ -32,11 +32,13 @@ def table_verdict(rows, cols, prefix, r1, r2):
     w = 0
     for j in range(min(cols, k)):
         w |= prefix[k - 1 - j] << j
-    return bool((endgame_table(rows, cols, CFG.lp_cell_threshold)[k][w, r1] >> r2) & 1)
+    level = endgame_table(rows, cols, CFG.lp_cell_threshold)[rows * cols - k]
+    return bool((level[w, r1] >> r2) & 1)
 
 
-# all cells of these grids lie in the table (n <= 20), so every screen is exact
-EXACT_SHAPES = [(1, 1), (1, 7), (7, 1), (2, 2), (2, 5), (5, 2), (3, 3), (3, 4), (4, 4)]
+# all cells of these grids lie in the endgame, so every screen is exact: the
+# narrow table's (n <= 20), or for 1x12 a row table's (from cell 0)
+EXACT_SHAPES = [(1, 1), (1, 7), (7, 1), (2, 2), (2, 5), (5, 2), (3, 3), (3, 4), (4, 4), (1, 12)]
 
 
 class TestExactProposal:
@@ -87,17 +89,81 @@ class TestTableVerdicts:
 
 
 class TestAboveTheCap:
-    def test_lp_path_runs_on_2x12(self, monkeypatch):
-        # 12 columns: no table, the LP screen runs, and run_trial still
-        # equals the reference step's LP path
-        import isingfiber.sampler as sampler
-
-        calls = []
-        solve = sampler.state_lp_feasible
-        monkeypatch.setattr(
-            sampler, "state_lp_feasible", lambda *key: calls.append(key) or solve(*key)
-        )
+    def test_row_table_runs_on_2x12(self, lp_calls, row_tables):
+        # 12 columns: no narrow table, so a row table screens the last row's
+        # last 11 cells, no LP is solved, and run_trial equals the reference
         stats = SuffStats(3, 3)
         for u in uniform_rows(7, 24, 0, 30):
-            assert run_trial(2, 12, stats, CFG, u, {}) == reference_trial(2, 12, stats, CFG, u)
-        assert calls
+            assert run_trial(2, 12, stats, CFG, u) == reference_trial(2, 12, stats, CFG, u)
+        assert row_tables and not lp_calls
+
+
+ROW_SHAPES = [(1, 20), (2, 12), (3, 14)]
+
+
+class TestRowTable:
+    @pytest.mark.parametrize("cells", [0, 5, 20])
+    @pytest.mark.parametrize("rows, cols", ROW_SHAPES, ids=[f"{r}x{c}" for r, c in ROW_SHAPES])
+    def test_bits_match_a_completion_search(self, rows, cols, cells):
+        # for random determined rows above the zone, every level, left value
+        # and budget gets the search's verdict
+        n = rows * cols
+        zone = min(cells, cols - 1)
+        topo = topology(rows, cols)
+        rng = np.random.default_rng(n * 100 + cells)
+        seen = {True: 0, False: 0}
+        for _ in range(4):
+            table = [int(v) for v in rng.random(n) < rng.uniform(0.1, 0.6)]
+            ones = int(rng.integers(0, min(zone, 3) + 1))
+            ups = [table[u] if u >= 0 else -1 for u in topo.up[n - zone :]]
+            levels = row_endgame(ups, ones)
+            assert len(levels) == zone + 1
+            for m, level in enumerate(levels):
+                k = n - m
+                for w in (0, 1):
+                    frontier = frontier_of(table, cols, k)[:-1] + (w,)
+                    for r1 in range(ones + 1):
+                        for r2 in range(2 * m + 2):
+                            expected = completable(rows, cols, k, frontier, r1, r2)
+                            assert bool((level[w, r1] >> r2) & 1) == expected, (m, w, r1, r2)
+                            seen[expected] += 1
+        assert seen[True] and seen[False]
+
+
+def wide_first_rows(cols):
+    """For a 2 x cols grid: (t1, t2, first row, second row), one second row
+    per (t1, t2, first row) that some table reaches, in that order; rows are
+    bit masks with bit j at column j."""
+    rows = np.arange(1 << cols)
+    pop = np.array([bin(r).count("1") for r in range(1 << cols)])
+    horizontal = pop[(rows ^ (rows >> 1)) & ((1 << (cols - 1)) - 1)]
+    first, second = np.meshgrid(rows, rows, indexing="ij")
+    stat1 = pop[first] + pop[second]
+    stat2 = horizontal[first] + horizontal[second] + pop[first ^ second]
+    keys = ((stat1 * 64 + stat2) << cols) + first
+    _, at = np.unique(keys.ravel(), return_index=True)
+    columns = (stat1, stat2, first, second)
+    return zip(*(c.ravel()[at].tolist() for c in columns))
+
+
+class TestRowZone:
+    def test_2x11_members_replay_and_nothing_rejects_in_the_zone(self):
+        # the zone is the second row (cells 11..21). A trial's path through
+        # the first row depends only on that row and (t1, t2), and the zone
+        # screens exactly (TestRowTable), so replaying one member per (first
+        # row, fiber) covers every member of every fiber. Each replay is
+        # replay_log_q's forced trial, with a step cache per fiber
+        cols = 11
+        by_fiber = groupby(wide_first_rows(cols), key=lambda row: row[:2])
+        for index, ((s1, s2), members) in enumerate(by_fiber):
+            stats = SuffStats(s1, s2)
+            step_cache = {}
+            for _, _, first, second in members:
+                cells = tuple((first >> j) & 1 for j in range(cols))
+                cells += tuple((second >> j) & 1 for j in range(cols))
+                forcing = [1.0 - v for v in cells]
+                draw = run_trial(2, cols, stats, CFG, forcing, step_cache=step_cache)
+                assert draw.accepted and draw.table.cells == cells, (stats, cells)
+            for u in uniform_rows(2200 + index, 2 * cols, 0, 20):
+                draw = run_trial(2, cols, stats, CFG, u)
+                assert draw.accepted or draw.stage <= cols, stats

@@ -305,7 +305,7 @@ class TestBatchDriver:
     def test_json_payload_fields(self):
         report = TestReport(10, 8, 0.8, 0.1, 0.2, 0.5, 10 / 1.5, 4.0, 0.3, math.log(4.0), 0.075, 1, "u")
         payload = report.json_payload(seed=9, config={"rows": 2})
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert payload["seed"] == 9
         assert set(payload) == {
             "schema",

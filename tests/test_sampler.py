@@ -26,10 +26,10 @@ def P(rows, cols, prefix=()):
     return PartialTable.from_prefix(rows, cols, prefix)
 
 
-def trial(rows, cols, stats, seed, config=CFG, lp_cache=None, step_cache=None):
+def trial(rows, cols, stats, seed, config=CFG, step_cache=None):
     """run_trial on one generator draw of uniforms per cell."""
     uniforms = np.random.default_rng(seed).random(rows * cols)
-    return run_trial(rows, cols, stats, config, uniforms, lp_cache, step_cache)
+    return run_trial(rows, cols, stats, config, uniforms, step_cache=step_cache)
 
 
 class TestPartialTable:
@@ -178,18 +178,17 @@ class TestSampleTable:
 
     def test_diagonal_fiber(self):
         seen = set()
-        cache = {}
         for seed in range(30):
-            draw = trial(2, 2, SuffStats(2, 4), seed, lp_cache=cache, step_cache={})
+            draw = trial(2, 2, SuffStats(2, 4), seed, step_cache={})
             assert draw.accepted
             seen.add(draw.table.cells)
         assert seen == {(1, 0, 0, 1), (0, 1, 1, 0)}
 
     def test_accepted_draws_hit_stats_exactly(self, fibers_3x3):
         for stats in list(fibers_3x3)[::5]:
-            lp_cache, step_cache = {}, {}
+            step_cache = {}
             for seed in range(40):
-                draw = trial(3, 3, stats, (1, seed), lp_cache=lp_cache, step_cache=step_cache)
+                draw = trial(3, 3, stats, (1, seed), step_cache=step_cache)
                 if draw.accepted:
                     assert t1(draw.table) == stats.t1
                     assert t2(draw.table) == stats.t2
@@ -272,22 +271,18 @@ def count_endgame_lookups(monkeypatch):
 class TestReferenceStep:
     @pytest.mark.parametrize("config_name", sorted(REFERENCE_CONFIGS))
     @pytest.mark.parametrize("rows, cols, stats, trials, cached", _reference_grids())
-    def test_run_trial_equals_reference(self, rows, cols, stats, trials, cached, config_name, monkeypatch):
+    def test_run_trial_equals_reference(
+        self, rows, cols, stats, trials, cached, config_name, monkeypatch, lp_calls, row_tables
+    ):
         # run_trial, with its caches, equals the plain per-cell loop Draw for
         # Draw; log_q is compared bit for bit
-        import isingfiber.sampler as sampler
-
-        lp_calls = []
-        solve = sampler.state_lp_feasible
-        monkeypatch.setattr(sampler, "state_lp_feasible", lambda *key: lp_calls.append(key) or solve(*key))
         lookups = count_endgame_lookups(monkeypatch)
         config = REFERENCE_CONFIGS[config_name]
         uniforms = uniform_rows(rows * cols + trials, rows * cols, 0, trials)
-        lp_cache = {}
         step_cache = {} if cached else None
         accepted = 0
         for u in uniforms:
-            draw = run_trial(rows, cols, stats, config, u, lp_cache, step_cache)
+            draw = run_trial(rows, cols, stats, config, u, step_cache=step_cache)
             expected = reference_trial(rows, cols, stats, config, u)
             assert draw == expected
             if draw.accepted:
@@ -295,25 +290,27 @@ class TestReferenceStep:
                 assert draw.log_q.hex() == expected.log_q.hex()
         # naive trials on large grids almost never land on the fiber
         assert accepted > 0 or (config_name == "naive" and rows * cols > 25)
+        assert not lp_calls  # the sampler solves no LP
         if config_name == "default" and 6 <= rows < 20:
-            # the endgame screen is on the path compared, in place of the LP
-            assert lookups and not lp_calls
+            # the narrow endgame table is on the path compared
+            assert lookups and not row_tables
         if rows == 20:
-            assert not lookups  # 20 columns: above the table's width cap
+            # 20 columns: above the narrow table's width cap, so the last
+            # row's cells are screened by row tables
+            assert not lookups
+            assert bool(row_tables) == (config_name in ("default", "lp-cells-0"))
 
 
 class TestSupport:
     def test_every_3x3_fiber_member_reachable(self, fibers_3x3):
         for stats in fibers_3x3:
-            cache = {}
             for member in fiber_members(3, 3, stats):
-                assert math.isfinite(replay_log_q(member, stats, CFG, cache))
+                assert math.isfinite(replay_log_q(member, stats, CFG))
 
     @pytest.mark.parametrize("stats", [SuffStats(5, 6), SuffStats(4, 12), SuffStats(6, 16)])
     def test_4x4_fiber_members_reachable(self, stats):
-        cache = {}
         for member in fiber_members(4, 4, stats):
-            assert math.isfinite(replay_log_q(member, stats, CFG, cache))
+            assert math.isfinite(replay_log_q(member, stats, CFG))
 
     def test_support_without_lp_and_naive(self):
         stats = SuffStats(3, 8)
@@ -346,13 +343,12 @@ class TestReplayEquality:
     )
     def test_replay_matches_draw_bit_for_bit(self, config, fibers_3x3):
         for stats in list(fibers_3x3)[::6]:
-            lp_cache = {}
             step_cache = {}
             uniforms = uniform_rows(99, 9, 0, 120)
             for i in range(120):
-                draw = run_trial(3, 3, stats, config, uniforms[i], lp_cache, step_cache)
+                draw = run_trial(3, 3, stats, config, uniforms[i], step_cache=step_cache)
                 if draw.accepted:
-                    assert replay_log_q(draw.table, stats, config, lp_cache) == draw.log_q
+                    assert replay_log_q(draw.table, stats, config) == draw.log_q
 
     def test_replay_of_forced_path_is_zero(self):
         table = BinaryTable(2, 2, (1, 1, 1, 1))
@@ -402,32 +398,3 @@ class TestLPPruningNeutrality:
             assert report.p1 == pytest.approx(exact_p1, abs=0.02)
             assert report.p2 == pytest.approx(exact_p2, abs=0.02)
 
-
-class TestLPCacheKey:
-    @pytest.mark.parametrize("rows, cols", [(4, 4), (6, 6)])
-    def test_cached_and_uncached_trials_agree(self, rows, cols, monkeypatch):
-        # the LP cache key (k, window, r1, r2) is complete: reusing a cached
-        # verdict never changes a trial. The endgame table is taken away, so
-        # the LP screens these grids as it does grids above the width cap.
-        import isingfiber.sampler as sampler
-
-        monkeypatch.setattr(sampler, "endgame_table", lambda *args: None)
-        calls = []
-        solve = sampler.state_lp_feasible
-        monkeypatch.setattr(sampler, "state_lp_feasible", lambda *key: calls.append(key) or solve(*key))
-        rng = np.random.default_rng(rows * cols)
-        n = rows * cols
-        cached_calls = uncached_calls = 0
-        for seed in range(4):
-            cells = tuple(int(v) for v in rng.random(n) < 0.3)
-            stats = SuffStats.of(BinaryTable(rows, cols, cells))
-            uniforms = uniform_rows(seed, n, 0, 60)
-            lp_cache = {}
-            for i in range(60):
-                calls.clear()
-                cached = run_trial(rows, cols, stats, CFG, uniforms[i], lp_cache)
-                cached_calls += len(calls)
-                calls.clear()
-                assert run_trial(rows, cols, stats, CFG, uniforms[i], None) == cached
-                uncached_calls += len(calls)
-        assert 0 < cached_calls < uncached_calls
