@@ -68,18 +68,19 @@ def endgame_table(rows: int, cols: int, cells: int) -> tuple | None:
 def row_endgame(ups, ones: int) -> list[dict]:
     """The levels covering the last len(ups) cells of a row whose cells all
     have a left neighbour: levels[m] maps (w, r1), for the left value w and
-    r1 <= ones, to the set of discords the last m cells can add. ups holds
-    the values of their up neighbours, -1 where there is none."""
-    nxt = {(w, r): int(r == 0) for w in (0, 1) for r in range(ones + 1)}
+    r1 <= min(ones, m), to the set of discords the last m cells can add; no
+    completion places more ones than it has cells. ups holds the values of
+    their up neighbours, -1 where there is none."""
+    nxt = {(0, 0): 1, (1, 0): 1}
     levels = [nxt]
-    for u in reversed(ups):
+    for m, u in enumerate(reversed(ups), 1):
         cur = {}
         for w in (0, 1):
             d0 = (u == 1) + (w == 1)  # discord the cell adds with value 0
             d1 = (u == 0) + (w == 0)
             cur[w, 0] = nxt[0, 0] << d0
-            for r in range(1, ones + 1):
-                cur[w, r] = nxt[0, r] << d0 | nxt[1, r - 1] << d1
+            for r in range(1, min(ones, m) + 1):
+                cur[w, r] = nxt.get((0, r), 0) << d0 | nxt[1, r - 1] << d1
         levels.append(cur)
         nxt = cur
     return levels

@@ -10,6 +10,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
+_BITS = frozenset((0, 1))
+
+
 class ParseError(ValueError):
     """Raised when a table text cannot be parsed."""
 
@@ -29,7 +32,11 @@ class BinaryTable:
             raise ValueError(
                 f"cell count {len(self.cells)} does not match shape {self.rows}x{self.cols}"
             )
-        if any(v not in (0, 1) for v in self.cells):
+        try:
+            bits = _BITS.issuperset(self.cells)
+        except TypeError:  # an unhashable value: compare value by value
+            bits = all(v in (0, 1) for v in self.cells)
+        if not bits:
             raise ValueError("cells must be 0 or 1")
 
     @classmethod
@@ -150,14 +157,15 @@ class GridTopology:
                 nbrs.append(k + cols)
             self.neighbors.append(tuple(nbrs))
 
-        # suffix degree counts: _suffix_deg[d][i] = number of cells >= i with degree d,
-        # used to bound how much discord the remaining ones can still create
+        # suffix degree counts: suffix_deg[d][i] = number of cells >= i with degree d,
+        # used to bound how much discord the remaining ones can still create and
+        # to place a last one past the determined cells' neighbours
         degs = [len(nb) for nb in self.neighbors]
-        self._suffix_deg = [[0] * (self.n_cells + 1) for _ in range(5)]
+        self.suffix_deg = [[0] * (self.n_cells + 1) for _ in range(5)]
         for i in range(self.n_cells - 1, -1, -1):
             for d in range(5):
-                self._suffix_deg[d][i] = self._suffix_deg[d][i + 1]
-            self._suffix_deg[degs[i]][i] += 1
+                self.suffix_deg[d][i] = self.suffix_deg[d][i + 1]
+            self.suffix_deg[degs[i]][i] += 1
 
         # edge counts by raster-prefix position k: free_free_edges[k] has both
         # endpoints >= k, determined_edges[k] has both < k; the rest straddle
@@ -196,7 +204,7 @@ class GridTopology:
                 self.n_edges - self.determined_edges[k + 1],
                 self.free_free_edges[k + 1],
                 self.frontier_edges[k + 1],
-                self._suffix_deg[4][k + 1],
+                self.suffix_deg[4][k + 1],
             )
             for k in range(n)
         ]
@@ -206,7 +214,7 @@ class GridTopology:
         (the sum of the k largest cell degrees in that suffix)."""
         cap = 0
         for d in (4, 3, 2, 1):
-            take = min(k, self._suffix_deg[d][start])
+            take = min(k, self.suffix_deg[d][start])
             cap += d * take
             k -= take
             if k == 0:

@@ -204,12 +204,15 @@ def _run_range(rows, cols, stats, config, seed, start, stop, step_cache):
     stat_u = np.full(count, -1, dtype=np.int32)
     stat_up = np.full(count, -1, dtype=np.int32)
     tables = np.empty((_SUB_BLOCK, n_cells), dtype=np.int8)  # a block's accepted tables
+    memo = {}  # run_trial's branch-weight terms, shared by the range's trials
     for block in range(start, stop, _SUB_BLOCK):
         block_stop = min(block + _SUB_BLOCK, stop)
         uniforms = uniform_rows(seed, n_cells, block, block_stop - block)
         n_acc = 0
         for i in range(block, block_stop):
-            draw = run_trial(rows, cols, stats, config, uniforms[i - block], step_cache=step_cache)
+            draw = run_trial(
+                rows, cols, stats, config, uniforms[i - block], memo, step_cache=step_cache
+            )
             k = i - start
             if draw.accepted:
                 accepted[k] = True

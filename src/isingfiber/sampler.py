@@ -7,7 +7,11 @@ completions each branch leaves open, which keeps the remaining discord budget
 tracking its achievable mean. Every conditional probability is recorded
 exactly. `replay_log_q` runs the same loop with forcing uniforms, so the log
 proposal probability of an accepted table replays bit for bit by
-construction.
+construction. The branch weights' terms that depend only on the cell and the
+number of ones still to place are computed once per trial range and kept in
+a memo that its trials share; the rest, which reads the trial's frontier and
+discord, is computed at each step. The memo holds the same floats the inline
+expressions gave, so it does not change a bit.
 
 The screens depend on the cell's place (see run_trial). In the endgame, one
 lookup in an exact table of endgame.py decides each value: it passes iff
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, log
+from struct import Struct
 
 import numpy as np
 
@@ -51,6 +56,29 @@ EDGE_RELAX = 120.0
 
 def _var_scale(total_edges: int) -> float:
     return VAR_SCALE + (1.0 - VAR_SCALE) * exp(-total_edges / EDGE_RELAX)
+
+
+# the packed layout of a memo entry: eight doubles, no Python float objects
+_TERMS = Struct("8d")
+
+
+def _branch_terms(r1: int, rc_after: int, eff1: int, fro1: int, scale: float) -> bytes:
+    """The terms of the Gaussian branch weights at a cell that depend only on
+    the cell and the r1 ones still to place: e, 2 var and log(var) / 2 for
+    value 1 (r1 - 1 ones left), the same for value 0 (r1 left), then log(mu)
+    and log(1 - mu). Each is the float run_trial's inline expressions gave,
+    in their operation order, packed as doubles to keep the memo small."""
+    terms = []
+    for j in (r1 - 1, r1):
+        p = j / rc_after
+        omp = 1.0 - p
+        q2 = 2.0 * p * omp
+        e = eff1 * q2
+        var = (e * (1.0 - q2) + fro1 * p * omp) * scale + VAR_FLOOR
+        terms += (e, 2.0 * var, 0.5 * log(var))
+    mu = r1 / (rc_after + 1)
+    return _TERMS.pack(*terms, log(mu), log(1.0 - mu))
+
 
 # exact placement search for the last remaining one is linear in the free
 # cells, so it is capped; beyond the cap the other screens stand alone
@@ -169,8 +197,16 @@ def _single_one_feasible(topo, cells, idx: int, v: int, f1_after: int, r2p: int)
     The completion is one 1 at a free cell c and zeros elsewhere; its total
     remaining discord is f1_after plus, over c's neighbors, +1 per zero-valued
     neighbor and -1 per determined one (whose frontier edge turns concordant).
+    A cell changes it by at most its degree, which is at most 4. Only the
+    cells up to idx + cols have a determined neighbor, so they are scanned;
+    past them the change is c's degree, and the suffix degree counts say
+    whether some cell there has the degree needed.
     """
-    for c in range(idx + 1, topo.n_cells):
+    change = r2p - f1_after  # what the placed one must add to the discord
+    if not -4 <= change <= 4:
+        return False
+    band_end = min(idx + topo.cols + 1, topo.n_cells)
+    for c in range(idx + 1, band_end):
         delta = 0
         for nb in topo.neighbors[c]:
             if nb < idx:
@@ -179,9 +215,9 @@ def _single_one_feasible(topo, cells, idx: int, v: int, f1_after: int, r2p: int)
                 delta += 1 if v == 0 else -1
             else:
                 delta += 1
-        if f1_after + delta == r2p:
+        if delta == change:
             return True
-    return False
+    return change >= 0 and topo.suffix_deg[change][band_end] > 0
 
 
 def new_step_cache(rows: int, cols: int) -> dict | None:
@@ -197,7 +233,7 @@ def run_trial(
     stats: SuffStats,
     config: SamplerConfig,
     uniforms,
-    lp_cache=None,
+    memo: dict | None = None,
     step_cache: dict | None = None,
 ) -> Draw:
     """One trial driven by one uniform per cell: the sampler's only step.
@@ -221,7 +257,15 @@ def run_trial(
     is below P[1], and the taken branch's probability enters log_q; a single
     feasible value is a forced move.
 
-    lp_cache is accepted and ignored; bench/worker.py still passes it.
+    memo keeps the terms of the Gaussian branch weights that depend only on
+    the cell and the ones still to place (see _branch_terms), so trials that
+    share it compute each of them once: pass one dict to every trial of a
+    range, as inference does. Its entries are filed under (rows, cols), so
+    one dict may serve several shapes and fibers; it grows with the (cell,
+    ones to place) pairs where the trials weigh both values, by 8 packed
+    doubles each. None gives the call a fresh memo of its own. The bits do
+    not depend on the memo.
+
     step_cache, keyed by the exact determined prefix, memoizes each step's
     verdicts, P[1] and state updates; it pays only on small grids, where
     prefixes recur across trials (see new_step_cache).
@@ -243,7 +287,13 @@ def run_trial(
     eps = config.rho_clamp
     one_minus_eps = 1.0 - eps
     scale = _var_scale(topo.n_edges)
-    var_floor = VAR_FLOOR
+    # the memo's entry for the shape: per cell, a dict from r1 to packed terms
+    if memo is None:
+        memo = {}
+    terms_of = memo.get((rows, cols))
+    if terms_of is None:
+        terms_of = memo[rows, cols] = [{} for _ in range(topo.n_cells)]
+    unpack = _TERMS.unpack
     us = uniforms.tolist() if isinstance(uniforms, np.ndarray) else uniforms
 
     n = topo.n_cells
@@ -320,24 +370,27 @@ def run_trial(
                     # discord under independent random placement of the
                     # remaining ones, where free-free edges are discordant
                     # with rate 2p(1-p) and frontier edges with rate p or 1-p
-                    # by their determined endpoint. Keep the operation order:
-                    # another order changes the low bits of P[1], and with
-                    # them the draws for a fixed seed.
-                    mu = r1 / (rc_after + 1)
+                    # by their determined endpoint. The terms that depend only
+                    # on the cell and r1 come from the memo (see
+                    # _branch_terms); value 1 leaves r1p ones, value 0 leaves
+                    # r1. Keep the operation order: another order changes the
+                    # low bits of P[1], and with them the draws for a fixed
+                    # seed.
+                    at = terms_of[idx]
+                    terms = at.get(r1)
+                    if terms is None:
+                        terms = at[r1] = _branch_terms(r1, rc_after, eff1, fro1, scale)
+                    e1, two_var1, half_log_var1, e0, two_var0, half_log_var0, log_mu, log_1_mu = (
+                        unpack(terms)
+                    )
                     p = r1p / rc_after
                     omp = 1.0 - p
-                    q2 = 2.0 * p * omp
-                    e = eff1 * q2
-                    m = e + (fro1 - f1a1) * p + f1a1 * omp
-                    var = (e * (1.0 - q2) + fro1 * p * omp) * scale + var_floor
-                    lw1 = log(mu) - (r2p1 - m) ** 2 / (2.0 * var) - 0.5 * log(var)
+                    m = e1 + (fro1 - f1a1) * p + f1a1 * omp
+                    lw1 = log_mu - (r2p1 - m) ** 2 / two_var1 - half_log_var1
                     p = r1 / rc_after
                     omp = 1.0 - p
-                    q2 = 2.0 * p * omp
-                    e = eff1 * q2
-                    m = e + (fro1 - f1a0) * p + f1a0 * omp
-                    var = (e * (1.0 - q2) + fro1 * p * omp) * scale + var_floor
-                    lw0 = log(1.0 - mu) - (r2p0 - m) ** 2 / (2.0 * var) - 0.5 * log(var)
+                    m = e0 + (fro1 - f1a0) * p + f1a0 * omp
+                    lw0 = log_1_mu - (r2p0 - m) ** 2 / two_var0 - half_log_var0
                     # P[1] floored at eps on both sides keeps q > 0 on the fiber
                     d = lw0 - lw1
                     if d > 36.0:

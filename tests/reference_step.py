@@ -1,7 +1,8 @@
 """The sampler's per-cell step written as a plain loop on PartialTable.
 
 This is the reference for `sampler.run_trial`: the screens one value at a
-time (`feasible_values`), the Gaussian branch weight one operation at a time
+time (`feasible_values`, with the single-one check as a scan over every free
+cell), the Gaussian branch weight one operation at a time
 (`branch_probabilities`) and the trial as a loop over them
 (`reference_trial`), with no caches and no shortcuts. `run_trial` must equal
 `reference_trial` Draw for Draw, `log_q` bits included.
@@ -22,9 +23,25 @@ from isingfiber.sampler import (
     VAR_FLOOR,
     Draw,
     PartialTable,
-    _single_one_feasible,
     _var_scale,
 )
+
+
+def single_one_feasible(topo, cells, idx, v, f1_after, r2p):
+    """Whether one 1 at some cell after idx, with zeros elsewhere, leaves
+    exactly r2p discordant edges: a scan over every such cell."""
+    for c in range(idx + 1, topo.n_cells):
+        delta = 0
+        for nb in topo.neighbors[c]:
+            if nb < idx:
+                delta += 1 if cells[nb] == 0 else -1
+            elif nb == idx:
+                delta += 1 if v == 0 else -1
+            else:
+                delta += 1
+        if f1_after + delta == r2p:
+            return True
+    return False
 
 
 def after_state(state, v):
@@ -119,7 +136,7 @@ def feasible_values(state, stats, config):
             if diff > r1p and diff > topo.toggle_capacity(idx + 1, r1p):
                 continue
             if r1p == 1 and rc_after <= EXACT_ONE_LIMIT:
-                if not _single_one_feasible(topo, state.cells, idx, v, f1_after, r2p):
+                if not single_one_feasible(topo, state.cells, idx, v, f1_after, r2p):
                     continue
         out.append(v)
     return tuple(out)
@@ -168,8 +185,9 @@ def branch_probabilities(state, stats, config):
     return 1.0 - p1, p1
 
 
-def reference_trial(rows, cols, stats, config, uniforms):
-    """One trial: the screens, then the uniform picks 1 when it is below P[1]."""
+def reference_trial(rows, cols, stats, config, uniforms, branch_cells=None):
+    """One trial: the screens, then the uniform picks 1 when it is below P[1].
+    Each cell where both values pass is appended to branch_cells, if given."""
     state = PartialTable.empty(rows, cols)
     log_q = 0.0
     for idx in range(rows * cols):
@@ -177,6 +195,8 @@ def reference_trial(rows, cols, stats, config, uniforms):
         if not feasible:
             return Draw.reject(idx)
         if len(feasible) == 2:
+            if branch_cells is not None:
+                branch_cells.append(idx)
             p0, p1 = branch_probabilities(state, stats, config)
             v = 1 if uniforms[idx] < p1 else 0
             log_q += log(p1 if v else p0)

@@ -116,6 +116,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             BinaryTable(0, 2, ())
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, "1", None, [1], {0: 0}, np.array([0, 1])])
+    def test_binary_table_rejects_every_non_bit(self, bad):
+        # unhashable values included: they raise ValueError, not TypeError
+        with pytest.raises(ValueError):
+            BinaryTable(2, 2, (0, 1, bad, 1))
+
+    def test_binary_table_accepts_bits_of_any_numeric_type(self):
+        for zero, one in ((0, 1), (False, True), (0.0, 1.0), (np.int8(0), np.int64(1))):
+            assert BinaryTable(1, 2, (zero, one)) == BinaryTable(1, 2, (0, 1))
+
     def test_suffstats_validation(self):
         with pytest.raises(ValueError):
             SuffStats(-1, 0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from isingfiber.grid import BinaryTable, SuffStats, t1, t2
+from isingfiber.grid import BinaryTable, SuffStats, t1, t2, topology
 from isingfiber.inference import collect_trials
 from isingfiber.models import IsingParams, gibbs_ising
 from isingfiber.oracle import fiber_members
@@ -12,6 +12,7 @@ from isingfiber.sampler import (
     OffFiberError,
     PartialTable,
     SamplerConfig,
+    _single_one_feasible,
     replay_log_q,
     run_trial,
     uniform_rows,
@@ -280,9 +281,10 @@ class TestReferenceStep:
         config = REFERENCE_CONFIGS[config_name]
         uniforms = uniform_rows(rows * cols + trials, rows * cols, 0, trials)
         step_cache = {} if cached else None
+        memo = {}  # one memo for all trials, as in a trial range
         accepted = 0
         for u in uniforms:
-            draw = run_trial(rows, cols, stats, config, u, step_cache=step_cache)
+            draw = run_trial(rows, cols, stats, config, u, memo, step_cache=step_cache)
             expected = reference_trial(rows, cols, stats, config, u)
             assert draw == expected
             if draw.accepted:
@@ -299,6 +301,106 @@ class TestReferenceStep:
             # row's cells are screened by row tables
             assert not lookups
             assert bool(row_tables) == (config_name in ("default", "lp-cells-0"))
+
+    @pytest.mark.parametrize("size, alpha, trials", [(10, -2.0, 60), (20, -3.0, 20)])
+    def test_one_memo_serves_two_fibers_of_a_shape(self, size, alpha, trials):
+        # a memo's terms depend on the cell and the ones to place only, so
+        # one memo serves every (t1, t2) on the shape, trials interleaved
+        n = size * size
+        params = IsingParams(alpha, 0.1)
+        fibers = [
+            SuffStats.of(gibbs_ising(params, size, size, rng=np.random.default_rng((99, i))))
+            for i in (0, 1)
+        ]
+        assert fibers[0] != fibers[1]
+        memo = {}
+        uniforms = uniform_rows(n + 7, n, 0, trials)
+        for u in uniforms:
+            for stats in fibers:
+                draw = run_trial(size, size, stats, CFG, u, memo)
+                expected = reference_trial(size, size, stats, CFG, u)
+                assert draw == expected
+                if draw.accepted:
+                    assert draw.log_q.hex() == expected.log_q.hex()
+        assert list(memo) == [(size, size)]
+
+
+class TestBranchMemo:
+    @staticmethod
+    def gibbs_stats():
+        """(t1, t2) of criterion 4's 20x20 table 4, the densest of the eight."""
+        table = gibbs_ising(IsingParams(-3.0, 0.1), 20, 20, rng=np.random.default_rng((99, 4)))
+        return SuffStats.of(table)
+
+    def test_shared_fresh_and_absent_memos_agree(self):
+        # the batch's trials share one memo; the benchmark's positional call
+        # hands in a fresh {}, and None makes a fresh memo, as replay does
+        stats, n, seed = self.gibbs_stats(), 400, 31
+        batch = collect_trials(20, 20, stats, CFG, seed, 40)
+        assert batch.n_accepted
+        for i in range(40):
+            u = uniform_rows(seed, n, i, 1)[0]
+            fresh = run_trial(20, 20, stats, CFG, u, {}, None)
+            absent = run_trial(20, 20, stats, CFG, u)
+            assert fresh == absent
+            assert fresh.accepted == batch.accepted[i]
+            if fresh.accepted:
+                assert fresh.log_q.hex() == batch.log_q[i].hex()
+                assert replay_log_q(fresh.table, stats, CFG).hex() == fresh.log_q.hex()
+            else:
+                assert fresh.stage == batch.stage[i]
+
+    def test_memo_spares_the_logs(self, monkeypatch):
+        # with the memo, a step where both values pass calls log once, for
+        # the branch taken; each memo entry costs four more: log(var) for
+        # either value, log(mu) and log(1 - mu)
+        import isingfiber.inference as inference
+        import isingfiber.sampler as sampler
+
+        stats, n, seed, trials = self.gibbs_stats(), 400, 8, 30
+        memos = []
+        run = inference.run_trial
+
+        def spy(*args, **kwargs):
+            memos.append(args[5])
+            return run(*args, **kwargs)
+
+        calls = []
+        monkeypatch.setattr(inference, "run_trial", spy)
+        monkeypatch.setattr(sampler, "log", lambda x: calls.append(x) or math.log(x))
+        collect_trials(20, 20, stats, CFG, seed, trials)
+        monkeypatch.undo()
+
+        assert len(memos) == trials and all(m is memos[0] for m in memos)
+        entries = sum(len(cell) for cell in memos[0][20, 20])
+        branch_cells = []
+        for u in uniform_rows(seed, n, 0, trials):
+            reference_trial(20, 20, stats, CFG, u, branch_cells)
+        assert 0 < entries < len(branch_cells)
+        assert len(calls) == len(branch_cells) + 4 * entries
+
+
+class TestSingleOne:
+    @pytest.mark.parametrize("rows, cols", [(1, 7), (3, 3), (4, 5), (6, 7), (2, 12), (9, 4)])
+    def test_band_and_degree_counts_match_the_full_scan(self, rows, cols):
+        # the sampler's check against the reference's scan over every free
+        # cell, on random determined prefixes, both values and every budget
+        from reference_step import single_one_feasible
+
+        topo = topology(rows, cols)
+        rng = np.random.default_rng(rows * 100 + cols)
+        seen = set()
+        for _ in range(6):
+            cells = [int(v) for v in rng.random(topo.n_cells) < 0.4]
+            for idx in range(topo.n_cells - 1):
+                for v in (0, 1):
+                    for f1_after in (0, 3, 7):
+                        for r2p in range(-1, 10):
+                            expected = single_one_feasible(topo, cells, idx, v, f1_after, r2p)
+                            got = _single_one_feasible(topo, cells, idx, v, f1_after, r2p)
+                            assert got == expected, (idx, v, f1_after, r2p)
+                            seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestSupport:
