@@ -8,6 +8,7 @@ failure, 2 degenerate outcome (no accepted trial).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -120,10 +121,7 @@ def cmd_test(args) -> int:
         "t2": args.t2 if args.t2 is not None else t2(table),
         "n_samples": args.samples,
         "stat": args.stat,
-        "lp_cell_threshold": config.lp_cell_threshold,
-        "rho_clamp": config.rho_clamp,
-        "lp_enabled": config.lp_enabled,
-        "naive_proposal": config.naive_proposal,
+        **dataclasses.asdict(config),
     }
     _emit_json(report.json_payload(args.seed, config_echo))
     _log(

@@ -228,11 +228,8 @@ def _run_range(rows, cols, stats, config, seed, start, stop, step_cache):
 
 
 def _worker(args):
-    rows, cols, t1, t2, config_kwargs, seed, start, stop = args
-    stats = SuffStats(t1, t2)
-    config = SamplerConfig(**config_kwargs)
-    step_cache = new_step_cache(rows, cols)
-    return start, _run_range(rows, cols, stats, config, seed, start, stop, step_cache)
+    rows, cols, stats, config, seed, start, stop = args
+    return _run_range(rows, cols, stats, config, seed, start, stop, new_step_cache(rows, cols))
 
 
 def collect_trials(
@@ -254,19 +251,13 @@ def collect_trials(
     if n_trials < 1:
         raise ValueError("need at least one trial")
     stats.validate_for(rows, cols)
-    accepted = np.zeros(n_trials, dtype=bool)
-    log_q = np.full(n_trials, np.nan)
-    stage = np.full(n_trials, -1, dtype=np.int32)
-    stat_u = np.full(n_trials, -1, dtype=np.int32)
-    stat_up = np.full(n_trials, -1, dtype=np.int32)
-
     if workers <= 1:
         step_cache = new_step_cache(rows, cols)
-        parts = [(0, _run_range(rows, cols, stats, config, seed, 0, n_trials, step_cache))]
+        parts = [_run_range(rows, cols, stats, config, seed, 0, n_trials, step_cache)]
     else:
         chunk = max(1, -(-n_trials // (workers * 4)))
         jobs = [
-            (rows, cols, stats.t1, stats.t2, config.__dict__.copy(), seed, s, min(s + chunk, n_trials))
+            (rows, cols, stats, config, seed, s, min(s + chunk, n_trials))
             for s in range(0, n_trials, chunk)
         ]
         # the pool forks all max_workers processes at once, so never ask for
@@ -274,14 +265,8 @@ def collect_trials(
         n_procs = min(workers, os.cpu_count() or 1, len(jobs))
         with ProcessPoolExecutor(max_workers=n_procs) as pool:
             parts = list(pool.map(_worker, jobs))
-
-    for start, (acc, lq, st, su, sup) in parts:
-        stop = start + acc.size
-        accepted[start:stop] = acc
-        log_q[start:stop] = lq
-        stage[start:stop] = st
-        stat_u[start:stop] = su
-        stat_up[start:stop] = sup
+    # the parts come in job order, so joining them lays trial i at index i
+    accepted, log_q, stage, stat_u, stat_up = (np.concatenate(arrays) for arrays in zip(*parts))
     return TrialBatch(rows, cols, stats, accepted, log_q, stage, stat_u, stat_up)
 
 

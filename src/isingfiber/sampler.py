@@ -157,22 +157,6 @@ class PartialTable:
     def prefix(self) -> tuple[int, ...]:
         return tuple(self.cells[: self.next_index])
 
-    @property
-    def n_unknown(self) -> int:
-        return self.rows * self.cols - self.next_index
-
-    def copy(self) -> "PartialTable":
-        return PartialTable(
-            self.rows,
-            self.cols,
-            list(self.cells),
-            self.next_index,
-            self.placed_ones,
-            self.discord,
-            self.det_edges,
-            self.frontier_ones,
-        )
-
     def place(self, value: int) -> None:
         if value not in (0, 1):
             raise ValueError(f"cell value must be 0 or 1, got {value}")

@@ -75,7 +75,7 @@ def lp_calls(monkeypatch):
     for module in (sampler, cutlp):
         solve = module.state_lp_feasible
         monkeypatch.setattr(
-            module, "state_lp_feasible", lambda *key, solve=solve: calls.append(key) or solve(*key)
+            module, "state_lp_feasible", lambda *args, solve=solve: calls.append(args) or solve(*args)
         )
     return calls
 

@@ -150,6 +150,10 @@ class TestTest:
         assert payload["p2"] == pytest.approx(1.0)
         assert payload["config"]["t1"] == 1
         assert payload["config"]["t2"] == 2
+        assert list(payload["config"]) == [
+            "rows", "cols", "t1", "t2", "n_samples", "stat",
+            "lp_cell_threshold", "rho_clamp", "lp_enabled", "naive_proposal",
+        ]
         assert out.endswith("\n")
 
     def test_empty_fiber_exits_two(self, capsys, tmp_path):

@@ -7,9 +7,8 @@ from isingfiber.cutlp import (
     CellBounds,
     cell_bounds,
     cut_semimetric,
-    state_key,
+    prefix_rows,
     state_lp_feasible,
-    state_template,
     suspension_semimetric,
     violates_cut_inequalities,
 )
@@ -21,6 +20,18 @@ from isingfiber.simplex import solve_canonical
 
 def P(rows, cols, prefix=()):
     return PartialTable.from_prefix(rows, cols, prefix)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The arguments of every solve_canonical call cutlp makes:
+    (c, A_ub, b_ub, A_eq, b_eq, upper bounds)."""
+    import isingfiber.cutlp as cutlp
+
+    calls = []
+    solve = cutlp.solve_canonical
+    monkeypatch.setattr(cutlp, "solve_canonical", lambda *args: calls.append(args) or solve(*args))
+    return calls
 
 
 def full_lp(rows, cols, prefix, stats):
@@ -99,7 +110,7 @@ class TestSuspensionIndex:
     def test_variable_counts(self):
         # apex edges, then grid edges: mn + (2mn - m - n)
         for rows, cols, n_vars in ((2, 2, 8), (3, 3, 21), (1, 4, 7)):
-            assert state_template(rows, cols, 0).A_ub.shape[1] == n_vars
+            assert prefix_rows(rows, cols, ())[0].shape[1] == n_vars
             table = BinaryTable(rows, cols, (0,) * (rows * cols))
             assert suspension_semimetric(table).shape == (n_vars,)
 
@@ -127,31 +138,30 @@ class TestCutSemimetric:
 
 
 class TestBuildLP:
-    """Shapes of the rows state_template builds for the empty state."""
+    """Shapes of the LP of the empty prefix: prefix_rows' rows, and the
+    equality rows that state_lp_feasible passes to the solver."""
 
     @staticmethod
-    def triangles_and_squares(tpl):
+    def row_counts(rows, cols, solves):
+        A_ub, _, n_cells = prefix_rows(rows, cols, ())
         # triangle rows touch an apex variable, square rows only grid edges
-        touches_cell = tpl.A_ub[:, : tpl.n_cells].any(axis=1)
-        return int(touches_cell.sum()), int((~touches_cell).sum())
+        touches_cell = A_ub[:, :n_cells].any(axis=1)
+        assert state_lp_feasible(P(rows, cols), SuffStats(1, 2))
+        (_, A_ub_solved, _, A_eq, _, _), = solves
+        assert np.array_equal(A_ub_solved, A_ub)
+        return A_ub.shape, (int(touches_cell.sum()), int((~touches_cell).sum())), A_eq.shape
 
-    def test_2x2_row_counts(self):
-        tpl = state_template(2, 2, 0)
-        assert tpl.A_ub.shape == (24, 8)
-        assert self.triangles_and_squares(tpl) == (16, 8)
-        assert tpl.A_eq.shape == (2, 8)
+    def test_2x2_row_counts(self, solves):
+        assert self.row_counts(2, 2, solves) == ((24, 8), (16, 8), (2, 8))
 
-    def test_3x3_row_counts(self):
-        tpl = state_template(3, 3, 0)
-        assert tpl.A_ub.shape == (80, 21)
-        assert self.triangles_and_squares(tpl) == (48, 32)
-        assert tpl.A_eq.shape == (2, 21)
+    def test_3x3_row_counts(self, solves):
+        assert self.row_counts(3, 3, solves) == ((80, 21), (48, 32), (2, 21))
 
 
 class TestSolveLP:
     def test_box_only_problem(self):
         # the 1x1 grid has no edges, so only the box and the t1 row remain
-        assert state_template(1, 1, 0).A_ub.shape == (0, 1)
+        assert prefix_rows(1, 1, ())[0].shape == (0, 1)
         assert cell_bounds(P(1, 1), SuffStats(1, 0), 0) == CellBounds("bounded", 1, 1)
         assert cell_bounds(P(1, 1), SuffStats(0, 0), 0) == CellBounds("bounded", 0, 0)
 
@@ -159,34 +169,29 @@ class TestSolveLP:
         # on 1x2, t1 = 0 zeroes both cells and the triangle c <= a + b then
         # contradicts t2 = 1; each row alone is within range
         assert cell_bounds(P(1, 2), SuffStats(0, 1), 0).status == "infeasible"
-        assert not state_lp_feasible(1, 2, *state_key(1, 2, (), SuffStats(0, 1)))
-        assert state_lp_feasible(1, 2, *state_key(1, 2, (), SuffStats(1, 1)))
+        assert not state_lp_feasible(P(1, 2), SuffStats(0, 1))
+        assert state_lp_feasible(P(1, 2), SuffStats(1, 1))
 
     def test_empty_fiber_detected(self):
         # triangle rows force t2 <= 2*t1 on the 2x2 grid, so (1, 3) is infeasible
-        assert not state_lp_feasible(2, 2, *state_key(2, 2, (), SuffStats(1, 3)))
+        assert not state_lp_feasible(P(2, 2), SuffStats(1, 3))
         assert cell_bounds(P(2, 2), SuffStats(1, 3), 0).status == "infeasible"
         assert sum(1 for _ in fiber_members(2, 2, SuffStats(1, 3))) == 0
 
-    def test_optimal_solution_satisfies_all_rows(self):
-        k, window, r1, r2 = state_key(3, 3, (1, 0), SuffStats(3, 8))
-        tpl = state_template(3, 3, k)
-        c = np.zeros(tpl.ones.size)
-        c[5 - k] = -1.0  # maximize cell 5
-        b_ub, b_eq = tpl.b_ub(window), np.array([r1, r2], dtype=float)
-        res = solve_canonical(c, tpl.A_ub, b_ub, tpl.A_eq, b_eq, tpl.ones)
+    def test_optimal_solution_satisfies_all_rows(self, solves):
+        bounds = cell_bounds(P(3, 3, (1, 0)), SuffStats(3, 8), 5)
+        c, A_ub, b_ub, A_eq, b_eq, upper = solves[1]  # the max of cell 5
+        assert c[5 - 2] == -1.0 and np.array_equal(b_eq, [3 - 1, 8 - 1])
+        res = solve_canonical(c, A_ub, b_ub, A_eq, b_eq, upper)
         assert res.status == "optimal"
-        assert (tpl.A_ub @ res.x <= b_ub + 1e-7).all()
-        assert tpl.A_eq @ res.x == pytest.approx(b_eq, abs=1e-7)
-        assert (res.x >= -1e-7).all() and (res.x <= 1 + 1e-7).all()
-        assert cell_bounds(P(3, 3, (1, 0)), SuffStats(3, 8), 5).hi == int(res.x[5 - k] + ROUND_TOL)
+        assert (A_ub @ res.x <= b_ub + 1e-7).all()
+        assert A_eq @ res.x == pytest.approx(b_eq, abs=1e-7)
+        assert (res.x >= -1e-7).all() and (res.x <= upper + 1e-7).all()
+        assert bounds.hi == int(res.x[5 - 2] + ROUND_TOL)
 
-    def test_determinism(self):
-        k, window, r1, r2 = state_key(3, 3, (1, 0, 1), SuffStats(4, 8))
-        tpl = state_template(3, 3, k)
-        c = np.zeros(tpl.ones.size)
-        c[7 - k] = 1.0
-        args = (c, tpl.A_ub, tpl.b_ub(window), tpl.A_eq, np.array([r1, r2], dtype=float), tpl.ones)
+    def test_determinism(self, solves):
+        cell_bounds(P(3, 3, (1, 0, 1)), SuffStats(4, 8), 7)
+        args = solves[0]  # the min of cell 7
         a, b = solve_canonical(*args), solve_canonical(*args)
         assert a.status == b.status and a.value == b.value
         assert np.array_equal(a.x, b.x)
@@ -303,7 +308,7 @@ class TestStateFeasibility:
             cases += [(rows, cols, *case) for case in seeded_prefixes(rows, cols, 40, rng)]
         feasible = bounded = 0
         for rows, cols, stats, prefix in cases:
-            got = state_lp_feasible(rows, cols, *state_key(rows, cols, prefix, stats))
+            got = state_lp_feasible(P(rows, cols, prefix), stats)
             assert got == (highs(full_lp(rows, cols, prefix, stats)).status == 0), (stats, prefix)
             feasible += got
             if len(prefix) < rows * cols:
@@ -314,31 +319,51 @@ class TestStateFeasibility:
         assert 0 < feasible < len(cases) and bounded > 60
 
     def test_complete_state(self):
-        assert state_lp_feasible(2, 2, *state_key(2, 2, (1, 0, 0, 1), SuffStats(2, 4)))
-        assert not state_lp_feasible(2, 2, *state_key(2, 2, (1, 0, 0, 1), SuffStats(2, 3)))
+        assert state_lp_feasible(P(2, 2, (1, 0, 0, 1)), SuffStats(2, 4))
+        assert not state_lp_feasible(P(2, 2, (1, 0, 0, 1)), SuffStats(2, 3))
 
     def test_pin_argument(self):
-        # the newest determined cell is the top bit of the window
-        assert state_lp_feasible(2, 2, *state_key(2, 2, (1,), SuffStats(4, 0)))
-        assert not state_lp_feasible(2, 2, *state_key(2, 2, (0,), SuffStats(4, 0)))
+        # the determined cell's value enters the right-hand side
+        assert state_lp_feasible(P(2, 2, (1,)), SuffStats(4, 0))
+        assert not state_lp_feasible(P(2, 2, (0,)), SuffStats(4, 0))
 
 
 class TestStateTemplate:
-    def test_cached_per_shape(self):
-        assert state_template(4, 4, 9) is state_template(4, 4, 9)
-        assert state_template(4, 4, 9) is not state_template(4, 4, 10)
+    """The rows of a state, against the whole suspension LP."""
 
     def test_rows_of_the_empty_state(self):
-        # with nothing determined the template is the full LP's inequality block
-        for rows, cols in ((3, 3), (2, 4)):
-            tpl = state_template(rows, cols, 0)
-            A_ub, b_ub, *_ = full_lp(rows, cols, (), SuffStats(1, 2))
-            assert np.array_equal(tpl.A_ub, A_ub)
-            assert np.array_equal(tpl.b_ub(0), b_ub)
+        # with nothing determined the rows are the full LP's inequality block
+        for rows, cols in ((3, 3), (2, 4), (1, 1)):
+            A_ub, b_ub, n_cells = prefix_rows(rows, cols, ())
+            full_A_ub, full_b_ub, *_ = full_lp(rows, cols, (), SuffStats(1, 2))
+            assert n_cells == rows * cols
+            assert np.array_equal(A_ub, full_A_ub.reshape(A_ub.shape))
+            assert np.array_equal(b_ub, full_b_ub)
 
-    def test_window_out_of_range(self):
-        with pytest.raises(ValueError):
-            state_template(2, 2, 4)
+    def test_rows_of_a_prefix(self):
+        # the full LP's rows with the pinned variables moved into the
+        # right-hand side, less the rows that no free variable enters
+        rng = np.random.default_rng(3)
+        for rows, cols in ((3, 3), (2, 4), (4, 3)):
+            n = rows * cols
+            for k in range(n):
+                prefix = tuple(int(v) for v in rng.integers(0, 2, k))
+                full_A_ub, full_b_ub, _, _, bounds = full_lp(rows, cols, prefix, SuffStats(0, 0))
+                pinned = np.array([lo == hi for lo, hi in bounds])
+                values = np.array([lo for lo, _ in bounds], dtype=float) * pinned
+                kept = full_A_ub[:, ~pinned].any(axis=1)
+                A_ub, b_ub, n_cells = prefix_rows(rows, cols, prefix)
+                assert n_cells == n - k
+                assert np.array_equal(A_ub, full_A_ub[kept][:, ~pinned])
+                assert np.array_equal(b_ub, (full_b_ub - full_A_ub @ values)[kept])
+
+    def test_complete_prefix_answers_from_counts(self, solves):
+        for cells in ((1, 0, 0, 1), (1, 1, 1, 1), (0, 0, 0, 0)):
+            stats = SuffStats.of(BinaryTable(2, 2, cells))
+            assert state_lp_feasible(P(2, 2, cells), stats)
+            assert not state_lp_feasible(P(2, 2, cells), SuffStats(stats.t1, stats.t2 + 1))
+            assert not state_lp_feasible(P(2, 2, cells), SuffStats(stats.t1 + 1, stats.t2))
+        assert not solves
 
 
 class TestStateVerdictsAgainstReferences:
@@ -360,20 +385,21 @@ class TestStateVerdictsAgainstReferences:
                 for i in rng.integers(0, k, int(rng.integers(0, 3))):
                     prefix[i] ^= 1
                 prefix = tuple(prefix)
-                key = state_key(rows, cols, prefix, stats)
-                got = state_lp_feasible(rows, cols, *key)
+                state = P(rows, cols, prefix)
+                got = state_lp_feasible(state, stats)
                 if any(m[:k] == prefix for m in members):
                     assert got, (stats, prefix)
-                _, window, r1, r2 = key
-                tpl = state_template(rows, cols, k)
-                if not (0 <= r1 <= tpl.n_cells and 0 <= r2 <= tpl.n_edges):
+                r1, r2 = stats.t1 - sum(prefix), stats.t2 - state.discord
+                A_ub, b_ub, n_cells = prefix_rows(rows, cols, prefix)
+                n_edges = A_ub.shape[1] - n_cells
+                if not (0 <= r1 <= n_cells and 0 <= r2 <= n_edges):
                     assert not got
                     continue
                 ref = linprog(
-                    np.zeros(tpl.A_ub.shape[1]),
-                    A_ub=tpl.A_ub,
-                    b_ub=tpl.b_ub(window),
-                    A_eq=tpl.A_eq,
+                    np.zeros(A_ub.shape[1]),
+                    A_ub=A_ub,
+                    b_ub=b_ub,
+                    A_eq=[[1] * n_cells + [0] * n_edges, [0] * n_cells + [1] * n_edges],
                     b_eq=[r1, r2],
                     bounds=(0, 1),
                     method="highs",

@@ -61,12 +61,6 @@ class TestPartialTable:
         with pytest.raises(ValueError):
             state.place(0)
 
-    def test_copy_is_independent(self):
-        state = P(2, 2, (1,))
-        other = state.copy()
-        other.place(0)
-        assert state.next_index == 1 and other.next_index == 2
-
 
 class TestFeasibleValues:
     """Which values a cell may take, seen through run_trial and replay_log_q."""
