@@ -98,7 +98,6 @@ def cmd_test(args) -> int:
     config = SamplerConfig(
         lp_cell_threshold=args.lp_cells,
         rho_clamp=args.rho_clamp,
-        lp_enabled=not args.no_lp,
         naive_proposal=args.naive_proposal,
     )
     start = time.monotonic()
@@ -190,10 +189,9 @@ def build_parser() -> _Parser:
         default=20,
         help="endgame length: a cell followed by at most this many cells is screened "
         "exactly, by a table of the achievable remaining budgets (on grids wider than "
-        "10 columns, at most cols - 1 cells: the last row's)",
+        "10 columns, at most cols - 1 cells: the last row's); 0 turns the endgame off",
     )
     ts.add_argument("--rho-clamp", type=float, default=1e-3)
-    ts.add_argument("--no-lp", action="store_true", help="turn the exact endgame screen off")
     ts.add_argument("--naive-proposal", action="store_true")
     ts.add_argument("--t1", type=int, default=None, help="override the conditioning t1")
     ts.add_argument("--t2", type=int, default=None, help="override the conditioning t2")

@@ -1,19 +1,23 @@
 """Gibbs samplers that generate observed tables.
 
-Both samplers run full raster sweeps from the all-zero table, updating each
-cell from its full conditional using the freshest neighbor values, and return
-the state after `sweeps` sweeps (1001 by default, matching the burn-in
-convention of taking the 1001st state as the sample).
+Both samplers run the same full raster sweeps from the all-zero table, updating
+each cell from its full conditional using the freshest neighbor values, and
+return the state after `sweeps` sweeps (1001 by default, matching the burn-in
+convention of taking the 1001st state as the sample). The conditional is read
+from a table of P(cell = 1) that each model fills from `ising_logit` or
+`autologistic_logit`, indexed by a weighted count of the neighbor ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from math import exp
 
 import numpy as np
 
-from .grid import BinaryTable, topology
+from .grid import BinaryTable
 
 DEFAULT_SWEEPS = 1001
 
@@ -74,6 +78,49 @@ def autologistic_logit(params: AutologisticParams, th, tv, td, ta) -> float:
     )
 
 
+# (row step, column step, weight) per neighbor direction. An Ising neighbor
+# weighs 1, so the code is the neighbor sum; the autologistic code is
+# 27*th + 9*tv + 3*td + ta, from the four directions' neighbor sums.
+_ISING_DIRECTIONS = ((-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1))
+_AUTOLOGISTIC_DIRECTIONS = (
+    (0, -1, 27), (0, 1, 27), (-1, 0, 9), (1, 0, 9), (-1, -1, 3), (1, 1, 3), (-1, 1, 1), (1, -1, 1)
+)
+
+
+@lru_cache(maxsize=None)
+def _weighted_neighbors(rows: int, cols: int, directions) -> tuple:
+    """Per raster cell, the (neighbor, weight) pairs of its in-grid neighbors."""
+    return tuple(
+        tuple(
+            ((i + di) * cols + j + dj, w)
+            for di, dj, w in directions
+            if 0 <= i + di < rows and 0 <= j + dj < cols
+        )
+        for i in range(rows)
+        for j in range(cols)
+    )
+
+
+def _sweep(rows, cols, directions, tables, sweeps, rng) -> BinaryTable:
+    """The state after `sweeps` raster sweeps from the all-zero table: a cell
+    becomes 1 iff its uniform is below entry `code` of tables[its degree],
+    where code sums the weights of its neighbors that are ones."""
+    if sweeps < 1:
+        raise ValueError("need at least one sweep")
+    rng = rng if rng is not None else np.random.default_rng()
+    neighbors = _weighted_neighbors(rows, cols, directions)
+    steps = [(k, nb, tables[len(nb)]) for k, nb in enumerate(neighbors)]
+    cells = [0] * len(steps)
+    for _ in range(sweeps):
+        for (k, nb, table), u in zip(steps, rng.random(len(cells)).tolist()):
+            code = 0
+            for j, w in nb:
+                if cells[j]:
+                    code += w
+            cells[k] = 1 if u < table[code] else 0
+    return BinaryTable(rows, cols, tuple(cells))
+
+
 def gibbs_ising(
     params: IsingParams,
     rows: int,
@@ -82,47 +129,8 @@ def gibbs_ising(
     rng: np.random.Generator | None = None,
 ) -> BinaryTable:
     """Sample a table from the two-parameter model by single-site Gibbs sweeps."""
-    if sweeps < 1:
-        raise ValueError("need at least one sweep")
-    rng = rng if rng is not None else np.random.default_rng()
-    topo = topology(rows, cols)
-    n = topo.n_cells
-    nbrs = topo.neighbors
-    alpha, beta = params.alpha, params.beta
-    cells = [0] * n
-    for _ in range(sweeps):
-        uniforms = rng.random(n)
-        for k in range(n):
-            nb = nbrs[k]
-            s = 0
-            for j in nb:
-                s += cells[j]
-            logit = alpha + beta * len(nb) - 2.0 * beta * s
-            cells[k] = 1 if uniforms[k] < bernoulli_p(logit) else 0
-    return BinaryTable(rows, cols, tuple(cells))
-
-
-def _autologistic_neighborhoods(rows: int, cols: int):
-    horiz, vert, diag, anti = [], [], [], []
-    for i in range(rows):
-        for j in range(cols):
-            horiz.append(tuple(i * cols + jj for jj in (j - 1, j + 1) if 0 <= jj < cols))
-            vert.append(tuple(ii * cols + j for ii in (i - 1, i + 1) if 0 <= ii < rows))
-            diag.append(
-                tuple(
-                    ii * cols + jj
-                    for ii, jj in ((i - 1, j - 1), (i + 1, j + 1))
-                    if 0 <= ii < rows and 0 <= jj < cols
-                )
-            )
-            anti.append(
-                tuple(
-                    ii * cols + jj
-                    for ii, jj in ((i - 1, j + 1), (i + 1, j - 1))
-                    if 0 <= ii < rows and 0 <= jj < cols
-                )
-            )
-    return horiz, vert, diag, anti
+    tables = [[bernoulli_p(ising_logit(params, d, s)) for s in range(d + 1)] for d in range(5)]
+    return _sweep(rows, cols, _ISING_DIRECTIONS, tables, sweeps, rng)
 
 
 def gibbs_autologistic(
@@ -133,20 +141,5 @@ def gibbs_autologistic(
     rng: np.random.Generator | None = None,
 ) -> BinaryTable:
     """Sample a table from the second-order autologistic regression model."""
-    if sweeps < 1:
-        raise ValueError("need at least one sweep")
-    rng = rng if rng is not None else np.random.default_rng()
-    n = rows * cols
-    horiz, vert, diag, anti = _autologistic_neighborhoods(rows, cols)
-    b0, b1, b2, b3, b4 = params.as_tuple()
-    cells = [0] * n
-    for _ in range(sweeps):
-        uniforms = rng.random(n)
-        for k in range(n):
-            th = sum(cells[j] for j in horiz[k])
-            tv = sum(cells[j] for j in vert[k])
-            td = sum(cells[j] for j in diag[k])
-            ta = sum(cells[j] for j in anti[k])
-            logit = b0 + b1 * th + b2 * tv + b3 * td + b4 * ta
-            cells[k] = 1 if uniforms[k] < bernoulli_p(logit) else 0
-    return BinaryTable(rows, cols, tuple(cells))
+    table = [bernoulli_p(autologistic_logit(params, *sums)) for sums in product(range(3), repeat=4)]
+    return _sweep(rows, cols, _AUTOLOGISTIC_DIRECTIONS, [table] * 9, sweeps, rng)

@@ -91,7 +91,6 @@ STEP_CACHE_CELL_LIMIT = 25
 class SamplerConfig:
     lp_cell_threshold: int = 20
     rho_clamp: float = 1e-3  # floor on branch probabilities; keeps q > 0 on the fiber
-    lp_enabled: bool = True
     naive_proposal: bool = False
 
     def __post_init__(self):
@@ -236,10 +235,11 @@ def run_trial(
     (r2' differs from the frontier baseline f1, the discord the all-zero
     completion would add, by at most what the r1' remaining ones can flip:
     the sum of the r1' largest free degrees), then the exact single-one check
-    (r1' = 1). lp_enabled=False turns the endgame off. Naive mode keeps only
-    counting. When both values pass, value 1 is taken iff the cell's uniform
-    is below P[1], and the taken branch's probability enters log_q; a single
-    feasible value is a forced move.
+    (r1' = 1). lp_cell_threshold=0 leaves the last cell alone in the endgame,
+    where it decides as those screens would. Naive mode keeps only counting.
+    When both values pass, value 1 is taken iff the cell's uniform is below
+    P[1], and the taken branch's probability enters log_q; a single feasible
+    value is a forced move.
 
     memo keeps the terms of the Gaussian branch weights that depend only on
     the cell and the ones still to place (see _branch_terms), so trials that
@@ -257,13 +257,12 @@ def run_trial(
     topo = topology(rows, cols)
     capacity = topo.toggle_capacity
     naive = config.naive_proposal
-    screened = config.lp_enabled and not naive
-    exact = endgame_table(rows, cols, config.lp_cell_threshold) if screened else None
-    # the endgame runs where rc_after <= exact_cells; -1 switches it off. A
+    exact = None if naive else endgame_table(rows, cols, config.lp_cell_threshold)
+    # the endgame runs where rc_after <= exact_cells: nowhere in naive mode. A
     # row table reads only the left value, so its frontier mask is 0
     if exact is not None:
         exact_cells, wmask = config.lp_cell_threshold, (1 << cols) - 1
-    elif screened:
+    elif not naive:
         exact_cells, wmask = min(config.lp_cell_threshold, cols - 1), 0
     else:
         exact_cells, wmask = -1, 0

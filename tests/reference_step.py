@@ -95,25 +95,26 @@ def endgame_cells(rows, cols, config):
     """How many cells follow the first endgame cell of run_trial, or -1
     where it has no endgame: the last lp_cell_threshold cells under the
     narrow table, else the last row's last min(lp_cell_threshold, cols - 1)."""
-    if not config.lp_enabled or config.naive_proposal:
+    if config.naive_proposal:
         return -1
     if endgame_table(rows, cols, config.lp_cell_threshold) is not None:
         return config.lp_cell_threshold
     return min(config.lp_cell_threshold, cols - 1)
 
 
-def feasible_values(state, stats, config):
+def feasible_values(state, stats, config, endgame=True):
     """Values at the next cell that pass every enabled screen: counting, the
     discord budget and toggle capacity, then the exact single-one check; in
     the endgame, exactly the values that admit a completion. In naive mode
-    only the counting screen applies."""
+    only the counting screen applies. endgame=False runs the screens on the
+    endgame's cells too."""
     if state.next_index >= state.rows * state.cols:
         raise ValueError("state has no unknown cell")
     topo = topology(state.rows, state.cols)
     idx = state.next_index
     rc_after = topo.n_cells - idx - 1
     nb_det = (topo.up[idx] >= 0) + (topo.left[idx] >= 0)
-    if rc_after <= endgame_cells(state.rows, state.cols, config):
+    if endgame and rc_after <= endgame_cells(state.rows, state.cols, config):
         out = []
         for v in (0, 1):
             disc_after, _ = after_state(state, v)
@@ -185,13 +186,14 @@ def branch_probabilities(state, stats, config):
     return 1.0 - p1, p1
 
 
-def reference_trial(rows, cols, stats, config, uniforms, branch_cells=None):
+def reference_trial(rows, cols, stats, config, uniforms, branch_cells=None, endgame=True):
     """One trial: the screens, then the uniform picks 1 when it is below P[1].
-    Each cell where both values pass is appended to branch_cells, if given."""
+    Each cell where both values pass is appended to branch_cells, if given;
+    endgame=False screens every cell as feasible_values does without it."""
     state = PartialTable.empty(rows, cols)
     log_q = 0.0
     for idx in range(rows * cols):
-        feasible = feasible_values(state, stats, config)
+        feasible = feasible_values(state, stats, config, endgame)
         if not feasible:
             return Draw.reject(idx)
         if len(feasible) == 2:

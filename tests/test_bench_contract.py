@@ -87,3 +87,15 @@ def test_worker_call_forms(tables, shape):
         else:
             assert draw.stage == batch.stage[i]
     assert accepted
+
+
+def test_traced_gibbs_set_up(tables):
+    # bench/worker.py draws its Ising tables through the traced attribute,
+    # with this call form, while the tracer is installed
+    tracer = load_tracer()()
+    with tracer.installed(isingfiber):
+        traced = isingfiber.models.gibbs_ising(
+            IsingParams(-3.0, 0.1), 20, 20, rng=np.random.default_rng((99, 0))
+        )
+    assert traced == tables["20x20"]
+    assert tracer.count("models.gibbs") == 1

@@ -144,7 +144,7 @@ class TestTest:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 3
+        assert payload["schema"] == 4
         assert payload["delta"] == 1.0
         assert payload["p1"] == 0.0
         assert payload["p2"] == pytest.approx(1.0)
@@ -152,7 +152,7 @@ class TestTest:
         assert payload["config"]["t2"] == 2
         assert list(payload["config"]) == [
             "rows", "cols", "t1", "t2", "n_samples", "stat",
-            "lp_cell_threshold", "rho_clamp", "lp_enabled", "naive_proposal",
+            "lp_cell_threshold", "rho_clamp", "naive_proposal",
         ]
         assert out.endswith("\n")
 
@@ -184,15 +184,23 @@ class TestTest:
         code, out, _ = run_cli(
             capsys,
             "test", str(path), "-n", "300", "--seed", "3",
-            "--no-lp", "--stat", "uprime",
+            "--lp-cells", "0", "--stat", "uprime",
         )
         assert code == 0
-        assert json.loads(out)["config"]["lp_enabled"] is False
+        assert json.loads(out)["config"]["lp_cell_threshold"] == 0
         code, out, _ = run_cli(
             capsys, "test", str(path), "-n", "300", "--seed", "3", "--naive-proposal"
         )
         assert code == 0
         assert json.loads(out)["config"]["naive_proposal"] is True
+
+    def test_retired_no_lp_flag_exits_one(self, capsys, tmp_path):
+        # --lp-cells 0 does what --no-lp did
+        path = tmp_path / "t.txt"
+        path.write_text("100\n010\n001\n")
+        code, out, err = run_cli_exit(capsys, "test", str(path), "-n", "300", "--no-lp")
+        assert code == 1
+        assert out == "" and "--no-lp" in err
 
     def test_stat_choice_changes_observed(self, capsys, tmp_path):
         path = tmp_path / "t.txt"
@@ -224,7 +232,7 @@ class TestJsonOutput:
         code, out, _ = run_cli(capsys, "test", str(path), "-n", "10", "--seed", "1")
         assert code == 0
         payload = strict_json(out)
-        assert payload["schema"] == 3
+        assert payload["schema"] == 4
         assert payload["fiber_size_estimate"] is None and payload["fiber_size_se"] is None
         assert payload["log_fiber_size_estimate"] > 709.0
 
@@ -244,7 +252,7 @@ class TestJsonOutput:
         code, out, err = run_cli(capsys, "test", str(path), "-n", "200", "--seed", "4", *extra)
         assert code == 0, err
         payload = strict_json(out)
-        assert payload["schema"] == 3 and payload["n_trials"] == 200
+        assert payload["schema"] == 4 and payload["n_trials"] == 200
         assert payload["n_accepted"] > 0
         assert "lp_ratio_threshold" not in payload["config"]
 

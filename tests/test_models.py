@@ -15,6 +15,8 @@ from isingfiber.models import (
     gibbs_ising,
     ising_logit,
 )
+from reference_gibbs import gibbs_autologistic as reference_autologistic
+from reference_gibbs import gibbs_ising as reference_ising
 
 
 def exact_ising_distribution(rows, cols, alpha, beta):
@@ -166,3 +168,62 @@ class TestGibbsAutologistic:
             AutologisticParams(float("nan"), 0, 0, 0, 0)
         with pytest.raises(ValueError):
             IsingParams(float("inf"), 0)
+
+
+class TestReferenceGibbs:
+    """The shared sweep returns the tables of the two inline loops kept in
+    reference_gibbs.py, bit for bit, for the same generator state."""
+
+    @staticmethod
+    def assert_same(sample, reference, params, rows, cols, sweeps, seed):
+        got = sample(params, rows, cols, sweeps, np.random.default_rng(seed))
+        assert got == reference(params, rows, cols, sweeps, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize(
+        "size, alpha, draws", [(10, -2.0, range(8)), (20, -3.0, range(3))], ids=["10x10", "20x20"]
+    )
+    def test_bench_tables(self, size, alpha, draws):
+        for i in draws:
+            self.assert_same(
+                gibbs_ising, reference_ising, IsingParams(alpha, 0.1), size, size, 1001, (99, i)
+            )
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5)])
+    @pytest.mark.parametrize("sweeps", [1, 64])
+    def test_small_shapes(self, rows, cols, sweeps):
+        ising = [IsingParams(-2.0, 0.1), IsingParams(0.3, -0.45)]
+        # logits of +-800 take bernoulli_p's overflow-safe branch; 200*4 = 800
+        ising += [IsingParams(800.0, 0.0), IsingParams(-800.0, 0.0), IsingParams(0.0, 200.0)]
+        for params in ising:
+            self.assert_same(gibbs_ising, reference_ising, params, rows, cols, sweeps, (11, rows, cols))
+        autologistic = [AutologisticParams(-2.0, 0.2, -0.2, 0.2, -0.2), AutologisticParams(0.1, 1.3, -0.7, 0.4, 2.2)]
+        autologistic += [AutologisticParams(-800.0, 0, 0, 0, 0), AutologisticParams(0.0, 400.0, -400.0, 200.0, -200.0)]
+        for params in autologistic:
+            self.assert_same(
+                gibbs_autologistic, reference_autologistic, params, rows, cols, sweeps, (12, rows, cols)
+            )
+
+    def test_criterion_8_tables(self):
+        params = AutologisticParams(-2.0, 0.2, -0.2, 0.2, -0.2)
+        for i in range(2):
+            self.assert_same(gibbs_autologistic, reference_autologistic, params, 20, 20, 1001, (801, i))
+
+    def test_the_checked_conditionals_drive_the_sweep(self, monkeypatch):
+        # with each helper's log-odds negated, the drawn tables change: the
+        # helpers checked against the joint distribution above are the code
+        # that runs
+        import isingfiber.models as models
+
+        ising, autologistic = IsingParams(-2.0, 0.1), AutologisticParams(-2.0, 0.2, -0.2, 0.2, -0.2)
+        before = [
+            gibbs_ising(ising, 5, 5, 3, np.random.default_rng(1)),
+            gibbs_autologistic(autologistic, 5, 5, 3, np.random.default_rng(1)),
+        ]
+        logit, auto_logit = models.ising_logit, models.autologistic_logit
+        monkeypatch.setattr(models, "ising_logit", lambda *args: -logit(*args))
+        monkeypatch.setattr(models, "autologistic_logit", lambda *args: -auto_logit(*args))
+        after = [
+            gibbs_ising(ising, 5, 5, 3, np.random.default_rng(1)),
+            gibbs_autologistic(autologistic, 5, 5, 3, np.random.default_rng(1)),
+        ]
+        assert t1(after[0]) > t1(before[0]) and t1(after[1]) > t1(before[1])

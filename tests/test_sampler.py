@@ -226,11 +226,14 @@ def _reference_grids():
     ]
 
 
+# name: (run_trial's config, whether the reference runs its endgame). "no-lp"
+# is the retired switch that turned the endgame off: lp_cell_threshold=0 leaves
+# only the last cell's lookup, which must decide as the screens do there
 REFERENCE_CONFIGS = {
-    "default": SamplerConfig(),
-    "naive": SamplerConfig(naive_proposal=True),
-    "no-lp": SamplerConfig(lp_enabled=False),
-    "lp-cells-0": SamplerConfig(lp_cell_threshold=0),
+    "default": (SamplerConfig(), True),
+    "naive": (SamplerConfig(naive_proposal=True), True),
+    "no-lp": (SamplerConfig(lp_cell_threshold=0), False),
+    "lp-cells-0": (SamplerConfig(lp_cell_threshold=0), True),
 }
 
 
@@ -272,14 +275,14 @@ class TestReferenceStep:
         # run_trial, with its caches, equals the plain per-cell loop Draw for
         # Draw; log_q is compared bit for bit
         lookups = count_endgame_lookups(monkeypatch)
-        config = REFERENCE_CONFIGS[config_name]
+        config, endgame = REFERENCE_CONFIGS[config_name]
         uniforms = uniform_rows(rows * cols + trials, rows * cols, 0, trials)
         step_cache = {} if cached else None
         memo = {}  # one memo for all trials, as in a trial range
         accepted = 0
         for u in uniforms:
             draw = run_trial(rows, cols, stats, config, u, memo, step_cache=step_cache)
-            expected = reference_trial(rows, cols, stats, config, u)
+            expected = reference_trial(rows, cols, stats, config, u, endgame=endgame)
             assert draw == expected
             if draw.accepted:
                 accepted += 1
@@ -294,7 +297,7 @@ class TestReferenceStep:
             # 20 columns: above the narrow table's width cap, so the last
             # row's cells are screened by row tables
             assert not lookups
-            assert bool(row_tables) == (config_name in ("default", "lp-cells-0"))
+            assert bool(row_tables) == (config_name != "naive")
 
     @pytest.mark.parametrize("size, alpha, trials", [(10, -2.0, 60), (20, -3.0, 20)])
     def test_one_memo_serves_two_fibers_of_a_shape(self, size, alpha, trials):
@@ -410,18 +413,18 @@ class TestSupport:
 
     def test_support_without_lp_and_naive(self):
         stats = SuffStats(3, 8)
-        for cfg in (SamplerConfig(lp_enabled=False), SamplerConfig(naive_proposal=True)):
+        for cfg in (SamplerConfig(lp_cell_threshold=0), SamplerConfig(naive_proposal=True)):
             for member in fiber_members(3, 3, stats):
                 assert math.isfinite(replay_log_q(member, stats, cfg))
 
     def test_replay_names_the_first_cell_it_cannot_follow(self, monkeypatch):
         # with an unsound single-one screen patched in, value 0 at cell 0 is
         # excluded: (0, 0, 1) is drawn as (1, 0, 0), and (0, 1, 0) is
-        # rejected. The screen runs without the endgame table, so --no-lp.
+        # rejected. The screen runs outside the endgame, so --lp-cells 0.
         import isingfiber.sampler as sampler
 
         monkeypatch.setattr(sampler, "_single_one_feasible", lambda *args: False)
-        cfg = SamplerConfig(lp_enabled=False)
+        cfg = SamplerConfig(lp_cell_threshold=0)
         with pytest.raises(OffFiberError, match="value 0 at cell 0 is outside"):
             replay_log_q(BinaryTable(1, 3, (0, 0, 1)), SuffStats(1, 1), cfg)
         with pytest.raises(OffFiberError, match="rejects the table at cell 0"):
@@ -435,7 +438,7 @@ class TestSupport:
 class TestReplayEquality:
     @pytest.mark.parametrize(
         "config",
-        [SamplerConfig(), SamplerConfig(lp_enabled=False), SamplerConfig(naive_proposal=True)],
+        [SamplerConfig(), SamplerConfig(lp_cell_threshold=0), SamplerConfig(naive_proposal=True)],
     )
     def test_replay_matches_draw_bit_for_bit(self, config, fibers_3x3):
         for stats in list(fibers_3x3)[::6]:
@@ -488,7 +491,7 @@ class TestLPPruningNeutrality:
         stats = SuffStats(4, 10)
         summary = enumerate_fiber(3, 3, stats)
         exact_p1, exact_p2 = exact_pvalues(summary, 1)
-        for cfg in (SamplerConfig(), SamplerConfig(lp_enabled=False)):
+        for cfg in (SamplerConfig(), SamplerConfig(lp_cell_threshold=0)):
             batch = collect_trials(3, 3, stats, cfg, seed=21, n_trials=6000)
             report = report_from_batch(batch, "u", 1)
             assert report.p1 == pytest.approx(exact_p1, abs=0.02)
