@@ -96,7 +96,7 @@ def cmd_stats(args) -> int:
 def cmd_test(args) -> int:
     table = _read_table(args.table)
     config = SamplerConfig(
-        lp_cell_threshold=args.lp_cells,
+        endgame_cells=args.endgame_cells,
         rho_clamp=args.rho_clamp,
         naive_proposal=args.naive_proposal,
     )
@@ -184,12 +184,13 @@ def build_parser() -> _Parser:
     ts.add_argument("--threads", type=int, default=1)
     ts.add_argument("--stat", choices=sorted(STATISTICS), default="u")
     ts.add_argument(
-        "--lp-cells",
+        "--endgame-cells",
         type=int,
         default=20,
         help="endgame length: a cell followed by at most this many cells is screened "
         "exactly, by a table of the achievable remaining budgets (on grids wider than "
-        "10 columns, at most cols - 1 cells: the last row's); 0 turns the endgame off",
+        "10 columns, at most cols - 1 cells: the last row's, whose completion counts "
+        "also weight the branches); 0 turns the endgame off",
     )
     ts.add_argument("--rho-clamp", type=float, default=1e-3)
     ts.add_argument("--naive-proposal", action="store_true")

@@ -1,8 +1,9 @@
 """The exact endgame: which (ones, discord) budgets the last raster cells can meet.
 
-Both tables are indexed by the number m of cells left: bit r2 of
-levels[m][w, r1] is set iff some completion of those cells places r1 ones and
-adds r2 discordant edges, given w, the part of the prefix they see.
+Both tables are indexed by the number m of cells left. levels[m][w, r1], for
+w, the part of the prefix those cells see, and r1 ones to place, packs one
+digit per discord r2, which describes the completions of the m cells that
+place r1 ones and add r2 discordant edges.
 
 `endgame_table` serves grids at most MAX_COLS wide: a backward transfer-matrix
 recursion over the last L raster cells. A completion's discord depends on the
@@ -10,18 +11,22 @@ prefix only through its last `cols` values, the frontier w (bit j holds cell
 k - 1 - j): every undetermined cell's up neighbour lies among them, and its
 left neighbour is either the newest of them or undetermined. The table
 depends on the shape and L only, so one cached table serves every test on a
-shape. Its sets are 64-bit words, so it exists only where every discord the
-last L cells can carry fits: at most 2L, so any L <= 31.
+shape. Its digits are bits, set iff some such completion exists, and its
+words are 64 bits wide, so it exists only where every discord the last L
+cells can carry fits: at most 2L, so any L <= 31.
 
 `row_endgame` serves every other grid, over its last min(L, cols - 1) cells.
 They lie in the last row, below determined cells, so w is the left value of
 the first of them. The table depends on the row above, so each trial builds
-its own; its sets are Python ints, with no width or bit cap.
+its own. Its digits are completion counts, packed in Python ints with no
+width cap: a count above 0 is the narrow table's bit, and two counts give
+the exact branch probability.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -65,22 +70,26 @@ def endgame_table(rows: int, cols: int, cells: int) -> tuple | None:
     return tuple(levels)
 
 
-def row_endgame(ups, ones: int) -> list[dict]:
+def row_endgame(ups, ones: int) -> tuple[list[dict], int]:
     """The levels covering the last len(ups) cells of a row whose cells all
-    have a left neighbour: levels[m] maps (w, r1), for the left value w and
-    r1 <= min(ones, m), to the set of discords the last m cells can add; no
-    completion places more ones than it has cells. ups holds the values of
-    their up neighbours, -1 where there is none."""
+    have a left neighbour, and their digit width: levels[m] maps (w, r1),
+    for the left value w and r1 <= min(ones, m), to an int whose digit r2
+    counts the completions of the last m cells that place r1 ones and add r2
+    discordant edges; no completion places more ones than it has cells. A
+    level holds at most C(m, r1) completions per r1, and C(len(ups),
+    min(ones, len(ups) // 2)) bounds them all, which sets the width. ups
+    holds the values of their up neighbours, -1 where there is none."""
+    width = comb(len(ups), min(ones, len(ups) // 2)).bit_length() + 1
     nxt = {(0, 0): 1, (1, 0): 1}
     levels = [nxt]
     for m, u in enumerate(reversed(ups), 1):
         cur = {}
         for w in (0, 1):
-            d0 = (u == 1) + (w == 1)  # discord the cell adds with value 0
-            d1 = (u == 0) + (w == 0)
+            d0 = ((u == 1) + (w == 1)) * width  # discord the cell adds with value 0
+            d1 = ((u == 0) + (w == 0)) * width
             cur[w, 0] = nxt[0, 0] << d0
             for r in range(1, min(ones, m) + 1):
-                cur[w, r] = nxt.get((0, r), 0) << d0 | nxt[1, r - 1] << d1
+                cur[w, r] = (nxt.get((0, r), 0) << d0) + (nxt[1, r - 1] << d1)
         levels.append(cur)
         nxt = cur
-    return levels
+    return levels, width

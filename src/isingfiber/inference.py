@@ -49,10 +49,10 @@ class TestReport:
         """The report as JSON values. JSON (RFC 8259) has no Infinity, so a
         non-finite float (a fiber-size estimate past the double range)
         becomes None, JSON's null; schema 2 is the first to do so. Schema 3
-        drops lp_ratio_threshold from the config echo, and schema 4
-        lp_enabled."""
+        drops lp_ratio_threshold from the config echo, schema 4 lp_enabled,
+        and schema 5 renames lp_cell_threshold to endgame_cells."""
         payload = {
-            "schema": 4,
+            "schema": 5,
             "n_trials": self.n_trials,
             "n_accepted": self.n_accepted,
             "delta": self.delta,

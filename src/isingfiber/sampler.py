@@ -4,18 +4,22 @@ Cells are filled in raster order by one step loop, `run_trial`. At each cell
 both candidate values are screened by sound feasibility arguments; when both
 survive they are weighted by a Gaussian approximation of how many fiber
 completions each branch leaves open, which keeps the remaining discord budget
-tracking its achievable mean. Every conditional probability is recorded
-exactly. `replay_log_q` runs the same loop with forcing uniforms, so the log
-proposal probability of an accepted table replays bit for bit by
-construction. The branch weights' terms that depend only on the cell and the
-number of ones still to place are computed once per trial range and kept in
-a memo that its trials share; the rest, which reads the trial's frontier and
-discord, is computed at each step. The memo holds the same floats the inline
-expressions gave, so it does not change a bit.
+tracking its achievable mean. In the endgame of grids wider than
+endgame.MAX_COLS the weights are the exact completion counts instead, so
+there a trial is uniform over the completions it can still reach. Every
+conditional probability is recorded exactly. `replay_log_q` runs the same
+loop with forcing uniforms, so the log proposal probability of an accepted
+table replays bit for bit by construction. The Gaussian weights' terms that
+depend only on the cell and the number of ones still to place are computed
+once per trial range and kept in a memo that its trials share; the rest,
+which reads the trial's frontier and discord, is computed at each step. The
+memo holds the same floats the inline expressions gave, so it does not
+change a bit.
 
 The screens depend on the cell's place (see run_trial). In the endgame, one
 lookup in an exact table of endgame.py decides each value: it passes iff
-some completion meets the remaining budget. Before it the screens are
+some completion meets the remaining budget, and on wide grids the same
+lookup gives the number of such completions. Before it the screens are
 counting, a discord-budget window, toggle capacity and the exact single-one
 check.
 
@@ -89,13 +93,13 @@ STEP_CACHE_CELL_LIMIT = 25
 
 @dataclass
 class SamplerConfig:
-    lp_cell_threshold: int = 20
+    endgame_cells: int = 20
     rho_clamp: float = 1e-3  # floor on branch probabilities; keeps q > 0 on the fiber
     naive_proposal: bool = False
 
     def __post_init__(self):
-        if self.lp_cell_threshold < 0:
-            raise ValueError("lp_cell_threshold must be nonnegative")
+        if self.endgame_cells < 0:
+            raise ValueError("endgame_cells must be nonnegative")
         if not 0.0 < self.rho_clamp < 0.5:
             raise ValueError(f"rho_clamp must be in (0, 0.5), got {self.rho_clamp}")
 
@@ -224,22 +228,27 @@ def run_trial(
     At each raster cell the screens run for value 0, then for value 1. In the
     endgame one lookup per value is the whole screen: the value passes iff
     some completion places exactly the r1' remaining ones and r2' remaining
-    discordant edges. The endgame is the last lp_cell_threshold cells where
+    discordant edges. The endgame is the last endgame_cells cells where
     the cached endgame_table exists for the shape (cols <= endgame.MAX_COLS,
-    and the last lp_cell_threshold cells carry fewer than 64 edges), and the
-    last min(lp_cell_threshold, cols - 1) cells elsewhere, with a row_endgame
-    table built at the first endgame cell for the ones still to place.
+    and the last endgame_cells cells carry fewer than 64 edges), and the
+    last min(endgame_cells, cols - 1) cells elsewhere, with a row_endgame
+    table of completion counts built at the first endgame cell for the ones
+    still to place.
     Before it the screens are counting (the ones still to place fit in the
     cells after it), the discord budget (the remaining discord r2' is
     nonnegative and fits in the edges not yet determined), toggle capacity
     (r2' differs from the frontier baseline f1, the discord the all-zero
     completion would add, by at most what the r1' remaining ones can flip:
     the sum of the r1' largest free degrees), then the exact single-one check
-    (r1' = 1). lp_cell_threshold=0 leaves the last cell alone in the endgame,
+    (r1' = 1). endgame_cells=0 leaves the last cell alone in the endgame,
     where it decides as those screens would. Naive mode keeps only counting.
     When both values pass, value 1 is taken iff the cell's uniform is below
     P[1], and the taken branch's probability enters log_q; a single feasible
-    value is a forced move.
+    value is a forced move. P[1] is the Gaussian branch weight, except in a
+    row table's zone, where it is N1 / (N0 + N1) for the counts N0 and N1 of
+    the completions each value leaves: there a trial is uniform over the
+    completions of the state it enters the zone with, wherever rho_clamp
+    does not bind. Both are clamped to [rho_clamp, 1 - rho_clamp].
 
     memo keeps the terms of the Gaussian branch weights that depend only on
     the cell and the ones still to place (see _branch_terms), so trials that
@@ -257,15 +266,17 @@ def run_trial(
     topo = topology(rows, cols)
     capacity = topo.toggle_capacity
     naive = config.naive_proposal
-    exact = None if naive else endgame_table(rows, cols, config.lp_cell_threshold)
+    exact = None if naive else endgame_table(rows, cols, config.endgame_cells)
     # the endgame runs where rc_after <= exact_cells: nowhere in naive mode. A
-    # row table reads only the left value, so its frontier mask is 0
+    # row table reads only the left value, so its frontier mask is 0; its
+    # digits are counts, width bits each, set where it is built
     if exact is not None:
-        exact_cells, wmask = config.lp_cell_threshold, (1 << cols) - 1
+        exact_cells, wmask = config.endgame_cells, (1 << cols) - 1
     elif not naive:
-        exact_cells, wmask = min(config.lp_cell_threshold, cols - 1), 0
+        exact_cells, wmask = min(config.endgame_cells, cols - 1), 0
     else:
         exact_cells, wmask = -1, 0
+    width = digit = 1
     track = step_cache is not None or exact is not None  # whether key is kept
     eps = config.rho_clamp
     one_minus_eps = 1.0 - eps
@@ -305,13 +316,19 @@ def run_trial(
                     # the first endgame cell this trial computes: the cells
                     # after it lie below determined ones
                     ups = [cells[u] if u >= 0 else -1 for u in topo.up[idx + 1 :]]
-                    exact = row_endgame(ups, r1)
-                # bit r2' of the set for r1' and the frontier after the cell,
-                # in place of the screens below
+                    exact, width = row_endgame(ups, r1)
+                    digit = (1 << width) - 1
+                # digit r2' of the entry for r1' and the frontier after the
+                # cell, in place of the screens below: a bit on narrow grids,
+                # the number of completions in a row table
                 level = exact[rc_after]
                 w0 = (key + key) & wmask
-                ok0 = r1 <= rc_after and r2p0 >= 0 and (level[w0, r1] >> r2p0) & 1
-                ok1 = 0 <= r1p <= rc_after and r2p1 >= 0 and (level[w0 + 1, r1p] >> r2p1) & 1
+                ok0 = r1 <= rc_after and r2p0 >= 0 and (level[w0, r1] >> r2p0 * width) & digit
+                ok1 = (
+                    0 <= r1p <= rc_after
+                    and r2p1 >= 0
+                    and (level[w0 + 1, r1p] >> r2p1 * width) & digit
+                )
             else:
                 # value 0: r1' = r1
                 if r1 > rc_after:
@@ -347,6 +364,14 @@ def run_trial(
             if ok0 and ok1:
                 if naive:
                     p1 = r1 / (rc_after + 1)
+                elif not wmask and rc_after <= exact_cells:
+                    # in a row table's zone ok0 and ok1 are the completion
+                    # counts, so the step is uniform over the completions
+                    p1 = ok1 / (ok0 + ok1)
+                    if p1 < eps:
+                        p1 = eps
+                    elif p1 > one_minus_eps:
+                        p1 = one_minus_eps
                 else:
                     # Gaussian branch weight: the counting base (remaining-ones
                     # density) times a Gaussian likelihood of the remaining
@@ -425,7 +450,9 @@ class OffFiberError(ValueError):
     """Raised when replaying a table that is not in the target fiber."""
 
 
-def replay_log_q(table: BinaryTable, stats: SuffStats, config: SamplerConfig) -> float:
+def replay_log_q(
+    table: BinaryTable, stats: SuffStats, config: SamplerConfig, memo: dict | None = None
+) -> float:
     """The exact log proposal probability of an on-fiber table.
 
     Runs run_trial with forcing uniforms, 0.0 at a one and 1.0 at a zero.
@@ -435,6 +462,8 @@ def replay_log_q(table: BinaryTable, stats: SuffStats, config: SamplerConfig) ->
     one. The trial therefore follows the table exactly when every one of its
     values passes the screens, and its log_q is the table's bit for bit.
     Raises OffFiberError naming the first cell the trial cannot follow.
+    memo is run_trial's: callers that replay many tables of one shape pass
+    one dict to every call, and None gives each call a fresh one.
     """
     from .grid import t1 as stat_t1, t2 as stat_t2
 
@@ -443,7 +472,7 @@ def replay_log_q(table: BinaryTable, stats: SuffStats, config: SamplerConfig) ->
             f"table has stats ({stat_t1(table)}, {stat_t2(table)}), expected {stats}"
         )
     forcing = [1.0 - v for v in table.cells]
-    draw = run_trial(table.rows, table.cols, stats, config, forcing)
+    draw = run_trial(table.rows, table.cols, stats, config, forcing, memo)
     if not draw.accepted:
         raise OffFiberError(f"the proposal rejects the table at cell {draw.stage}")
     if draw.table != table:

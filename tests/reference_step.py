@@ -7,8 +7,9 @@ cell), the Gaussian branch weight one operation at a time
 (`reference_trial`), with no caches and no shortcuts. `run_trial` must equal
 `reference_trial` Draw for Draw, `log_q` bits included.
 
-In the sampler's endgame, the reference decides a value by `completable`, a
-forward search over completions that shares no code with either endgame
+In the sampler's endgame, the reference decides a value by `completable`,
+and on grids wider than the narrow table takes its P[1] from `completions`:
+a forward count over completions that shares no code with either endgame
 table.
 """
 
@@ -66,24 +67,30 @@ def after_state(state, v):
 
 
 @lru_cache(maxsize=None)
-def completable(rows, cols, k, frontier, r1, r2):
-    """Whether cells k.. of a rows x cols grid can hold exactly r1 ones and
-    add exactly r2 discordant edges, given frontier = the values of cells
-    k - cols .. k - 1 (cells before 0 read as 0; no edge reaches them)."""
+def completions(rows, cols, k, frontier, r1, r2):
+    """How many fillings of cells k.. of a rows x cols grid hold exactly r1
+    ones and add exactly r2 discordant edges, given frontier = the values of
+    cells k - cols .. k - 1 (cells before 0 read as 0; no edge reaches
+    them)."""
     n = rows * cols
     if r1 < 0 or r2 < 0 or r1 > n - k:
-        return False
+        return 0
     if k == n:
-        return r1 == 0 and r2 == 0
+        return int(r1 == 0 and r2 == 0)
+    total = 0
     for v in (0, 1):
         d = 0
         if k >= cols and frontier[0] != v:
             d += 1
         if k % cols and frontier[-1] != v:
             d += 1
-        if completable(rows, cols, k + 1, frontier[1:] + (v,), r1 - v, r2 - d):
-            return True
-    return False
+        total += completions(rows, cols, k + 1, frontier[1:] + (v,), r1 - v, r2 - d)
+    return total
+
+
+def completable(rows, cols, k, frontier, r1, r2):
+    """Whether cells k.. can meet the budget (see completions)."""
+    return completions(rows, cols, k, frontier, r1, r2) > 0
 
 
 def frontier_of(cells, cols, k):
@@ -91,15 +98,34 @@ def frontier_of(cells, cols, k):
     return tuple(cells[c] if c >= 0 else 0 for c in range(k - cols, k))
 
 
-def endgame_cells(rows, cols, config):
+def endgame_length(rows, cols, config):
     """How many cells follow the first endgame cell of run_trial, or -1
-    where it has no endgame: the last lp_cell_threshold cells under the
-    narrow table, else the last row's last min(lp_cell_threshold, cols - 1)."""
+    where it has no endgame: the last endgame_cells cells under the narrow
+    table, else the last row's last min(endgame_cells, cols - 1)."""
     if config.naive_proposal:
         return -1
-    if endgame_table(rows, cols, config.lp_cell_threshold) is not None:
-        return config.lp_cell_threshold
-    return min(config.lp_cell_threshold, cols - 1)
+    if endgame_table(rows, cols, config.endgame_cells) is not None:
+        return config.endgame_cells
+    return min(config.endgame_cells, cols - 1)
+
+
+def in_row_zone(rows, cols, config, idx):
+    """Whether cell idx lies in the endgame of a grid without the narrow
+    table, where P[1] comes from completion counts."""
+    return (
+        not config.naive_proposal
+        and endgame_table(rows, cols, config.endgame_cells) is None
+        and rows * cols - idx - 1 <= endgame_length(rows, cols, config)
+    )
+
+
+def completions_after(state, stats, v):
+    """The completions left once v is placed at the next cell."""
+    idx = state.next_index
+    disc_after, _ = after_state(state, v)
+    r1p = stats.t1 - state.placed_ones - v
+    frontier = frontier_of(state.cells[:idx] + [v], state.cols, idx + 1)
+    return completions(state.rows, state.cols, idx + 1, frontier, r1p, stats.t2 - disc_after)
 
 
 def feasible_values(state, stats, config, endgame=True):
@@ -114,15 +140,8 @@ def feasible_values(state, stats, config, endgame=True):
     idx = state.next_index
     rc_after = topo.n_cells - idx - 1
     nb_det = (topo.up[idx] >= 0) + (topo.left[idx] >= 0)
-    if endgame and rc_after <= endgame_cells(state.rows, state.cols, config):
-        out = []
-        for v in (0, 1):
-            disc_after, _ = after_state(state, v)
-            r1p = stats.t1 - state.placed_ones - v
-            frontier = frontier_of(state.cells[:idx] + [v], state.cols, idx + 1)
-            if completable(state.rows, state.cols, idx + 1, frontier, r1p, stats.t2 - disc_after):
-                out.append(v)
-        return tuple(out)
+    if endgame and rc_after <= endgame_length(state.rows, state.cols, config):
+        return tuple(v for v in (0, 1) if completions_after(state, stats, v))
     out = []
     for v in (0, 1):
         r1p = stats.t1 - state.placed_ones - v
@@ -149,8 +168,13 @@ def branch_probabilities(state, stats, config):
     idx = state.next_index
     r1 = stats.t1 - state.placed_ones
     rc = topo.n_cells - idx
+    eps = config.rho_clamp
     if config.naive_proposal:
         p1 = r1 / rc
+        return 1.0 - p1, p1
+    if in_row_zone(state.rows, state.cols, config, idx):
+        n0, n1 = completions_after(state, stats, 0), completions_after(state, stats, 1)
+        p1 = min(max(n1 / (n0 + n1), eps), 1.0 - eps)
         return 1.0 - p1, p1
     disc0, f1a0 = after_state(state, 0)
     disc1, f1a1 = after_state(state, 1)
@@ -174,7 +198,6 @@ def branch_probabilities(state, stats, config):
     var = (eff1 * q2 * (1.0 - q2) + fro1 * p * (1.0 - p)) * scale + VAR_FLOOR
     lw0 = log(1.0 - mu) - (r2p0 - m) ** 2 / (2.0 * var) - 0.5 * log(var)
 
-    eps = config.rho_clamp
     d = lw0 - lw1
     if d > 36.0:
         p1 = eps

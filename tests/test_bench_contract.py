@@ -76,6 +76,7 @@ def test_worker_call_forms(tables, shape):
     stats, config, seed = SuffStats(t1(table), t2(table)), sampler.SamplerConfig(), 5
     batch = inference.collect_trials(rows, cols, stats, config, seed, 6)
     accepted = 0
+    memo = {}  # one memo for every replay of the shape
     for i in range(6):
         uniforms = sampler.uniform_rows(seed, n_cells, i, 1)[0]
         draw = sampler.run_trial(rows, cols, stats, config, uniforms, {}, None)
@@ -83,10 +84,13 @@ def test_worker_call_forms(tables, shape):
         if draw.accepted:
             accepted += 1
             assert draw.log_q == batch.log_q[i]
+            # the worker's 3-positional call, and the call that shares a memo
             assert sampler.replay_log_q(draw.table, stats, config) == draw.log_q
+            assert sampler.replay_log_q(draw.table, stats, config, memo).hex() == draw.log_q.hex()
         else:
             assert draw.stage == batch.stage[i]
     assert accepted
+    assert list(memo) == [(rows, cols)]
 
 
 def test_traced_gibbs_set_up(tables):

@@ -144,7 +144,7 @@ class TestTest:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 4
+        assert payload["schema"] == 5
         assert payload["delta"] == 1.0
         assert payload["p1"] == 0.0
         assert payload["p2"] == pytest.approx(1.0)
@@ -152,7 +152,7 @@ class TestTest:
         assert payload["config"]["t2"] == 2
         assert list(payload["config"]) == [
             "rows", "cols", "t1", "t2", "n_samples", "stat",
-            "lp_cell_threshold", "rho_clamp", "naive_proposal",
+            "endgame_cells", "rho_clamp", "naive_proposal",
         ]
         assert out.endswith("\n")
 
@@ -184,10 +184,10 @@ class TestTest:
         code, out, _ = run_cli(
             capsys,
             "test", str(path), "-n", "300", "--seed", "3",
-            "--lp-cells", "0", "--stat", "uprime",
+            "--endgame-cells", "0", "--stat", "uprime",
         )
         assert code == 0
-        assert json.loads(out)["config"]["lp_cell_threshold"] == 0
+        assert json.loads(out)["config"]["endgame_cells"] == 0
         code, out, _ = run_cli(
             capsys, "test", str(path), "-n", "300", "--seed", "3", "--naive-proposal"
         )
@@ -195,12 +195,20 @@ class TestTest:
         assert json.loads(out)["config"]["naive_proposal"] is True
 
     def test_retired_no_lp_flag_exits_one(self, capsys, tmp_path):
-        # --lp-cells 0 does what --no-lp did
+        # --endgame-cells 0 does what --no-lp did
         path = tmp_path / "t.txt"
         path.write_text("100\n010\n001\n")
         code, out, err = run_cli_exit(capsys, "test", str(path), "-n", "300", "--no-lp")
         assert code == 1
         assert out == "" and "--no-lp" in err
+
+    def test_retired_lp_cells_flag_exits_one(self, capsys, tmp_path):
+        # --endgame-cells is the flag's new name
+        path = tmp_path / "t.txt"
+        path.write_text("100\n010\n001\n")
+        code, out, err = run_cli_exit(capsys, "test", str(path), "-n", "300", "--lp-cells", "0")
+        assert code == 1
+        assert out == "" and "--lp-cells" in err
 
     def test_stat_choice_changes_observed(self, capsys, tmp_path):
         path = tmp_path / "t.txt"
@@ -232,13 +240,13 @@ class TestJsonOutput:
         code, out, _ = run_cli(capsys, "test", str(path), "-n", "10", "--seed", "1")
         assert code == 0
         payload = strict_json(out)
-        assert payload["schema"] == 4
+        assert payload["schema"] == 5
         assert payload["fiber_size_estimate"] is None and payload["fiber_size_se"] is None
         assert payload["log_fiber_size_estimate"] > 709.0
 
     @pytest.mark.parametrize(
         "rows, cols, extra",
-        [(1, 30, []), (10, 10, ["--lp-cells", "40"])],
+        [(1, 30, []), (10, 10, ["--endgame-cells", "40"])],
         ids=["1x30", "10x10-lp-cells-40"],
     )
     def test_row_endgame_shapes_end_in_a_report(self, capsys, tmp_path, rows, cols, extra):
@@ -252,7 +260,7 @@ class TestJsonOutput:
         code, out, err = run_cli(capsys, "test", str(path), "-n", "200", "--seed", "4", *extra)
         assert code == 0, err
         payload = strict_json(out)
-        assert payload["schema"] == 4 and payload["n_trials"] == 200
+        assert payload["schema"] == 5 and payload["n_trials"] == 200
         assert payload["n_accepted"] > 0
         assert "lp_ratio_threshold" not in payload["config"]
 

@@ -8,9 +8,11 @@ import pytest
 
 from isingfiber.endgame import MAX_COLS, endgame_table, row_endgame
 from isingfiber.grid import BinaryTable, SuffStats, t1, t2, topology
+from isingfiber.inference import collect_trials, report_from_batch
+from isingfiber.oracle import enumerate_fiber
 from isingfiber.sampler import SamplerConfig, replay_log_q, run_trial, uniform_rows
 
-from reference_step import completable, frontier_of, reference_trial
+from reference_step import completable, completions, frontier_of, reference_trial
 
 CFG = SamplerConfig()
 
@@ -32,7 +34,7 @@ def table_verdict(rows, cols, prefix, r1, r2):
     w = 0
     for j in range(min(cols, k)):
         w |= prefix[k - 1 - j] << j
-    level = endgame_table(rows, cols, CFG.lp_cell_threshold)[rows * cols - k]
+    level = endgame_table(rows, cols, CFG.endgame_cells)[rows * cols - k]
     return bool((level[w, r1] >> r2) & 1)
 
 
@@ -47,8 +49,9 @@ class TestExactProposal:
         # q sums to 1 over each fiber: no mass leaves it, so no trial rejects
         n = rows * cols
         by_stats = sorted(fibers(rows, cols).items(), key=lambda kv: (kv[0].t1, kv[0].t2))
+        memo = {}  # replays of one shape share a memo
         for index, (stats, members) in enumerate(by_stats):
-            mass = math.fsum(math.exp(replay_log_q(m, stats, CFG)) for m in members)
+            mass = math.fsum(math.exp(replay_log_q(m, stats, CFG, memo)) for m in members)
             assert mass == pytest.approx(1.0, abs=1e-9), stats
             for u in uniform_rows(1000 + index, n, 0, 50):
                 assert run_trial(rows, cols, stats, CFG, u).accepted, stats
@@ -62,7 +65,7 @@ class TestTableVerdicts:
         rng = np.random.default_rng(rows * 100 + cols)
         topo = topology(rows, cols)
         n = rows * cols
-        first = n - CFG.lp_cell_threshold
+        first = n - CFG.endgame_cells
         seen = {True: 0, False: 0}
         for _ in range(60):
             cells = tuple(int(v) for v in rng.random(n) < rng.uniform(0.1, 0.6))
@@ -104,9 +107,9 @@ ROW_SHAPES = [(1, 20), (2, 12), (3, 14)]
 class TestRowTable:
     @pytest.mark.parametrize("cells", [0, 5, 20])
     @pytest.mark.parametrize("rows, cols", ROW_SHAPES, ids=[f"{r}x{c}" for r, c in ROW_SHAPES])
-    def test_bits_match_a_completion_search(self, rows, cols, cells):
+    def test_digits_match_a_completion_count(self, rows, cols, cells):
         # for random determined rows above the zone, every level, left value
-        # and budget gets the search's verdict
+        # and budget gets the count's number of completions
         n = rows * cols
         zone = min(cells, cols - 1)
         topo = topology(rows, cols)
@@ -116,20 +119,81 @@ class TestRowTable:
             table = [int(v) for v in rng.random(n) < rng.uniform(0.1, 0.6)]
             ones = int(rng.integers(0, min(zone, 3) + 1))
             ups = [table[u] if u >= 0 else -1 for u in topo.up[n - zone :]]
-            levels = row_endgame(ups, ones)
+            levels, width = row_endgame(ups, ones)
             assert len(levels) == zone + 1
             for m, level in enumerate(levels):
                 k = n - m
                 for w in (0, 1):
                     frontier = frontier_of(table, cols, k)[:-1] + (w,)
                     for r1 in range(ones + 1):
+                        # a level holds no key for more ones than cells, and
+                        # no digit past the discord its cells can carry
+                        digits = level.get((w, r1), 0)
+                        assert digits >> (2 * m + 1) * width == 0
                         for r2 in range(2 * m + 2):
-                            expected = completable(rows, cols, k, frontier, r1, r2)
-                            # a level holds no key for more ones than cells
-                            bits = level.get((w, r1), 0)
-                            assert bool((bits >> r2) & 1) == expected, (m, w, r1, r2)
-                            seen[expected] += 1
+                            expected = completions(rows, cols, k, frontier, r1, r2)
+                            got = (digits >> r2 * width) & ((1 << width) - 1)
+                            assert got == expected, (m, w, r1, r2)
+                            seen[expected > 0] += 1
         assert seen[True] and seen[False]
+
+
+def row_completions(n, k, w, r1, r2):
+    """Completions of cells k.. of a 1 x n grid after the left value w: one
+    row reads only the newest frontier value, so the rest is fixed at 0 and
+    the reference's cache stays small."""
+    return completions(1, n, k, (0,) * (n - 1) + (w,), r1, r2)
+
+
+def zone_clamped(table, stats):
+    """Whether some step of a 1 x n table's path, where both values pass,
+    has a count ratio N1 / (N0 + N1) that rho_clamp moves."""
+    n, cells = table.cols, table.cells
+    r1, r2 = stats.t1, stats.t2
+    for k, v in enumerate(cells):
+        counts = [
+            row_completions(n, k + 1, x, r1 - x, r2 - (k > 0 and x != cells[k - 1])) for x in (0, 1)
+        ]
+        if all(counts) and not CFG.rho_clamp <= counts[1] / sum(counts) <= 1 - CFG.rho_clamp:
+            return True
+        r1 -= v
+        r2 -= k > 0 and v != cells[k - 1]
+    return False
+
+
+class TestCountedZone:
+    @pytest.mark.parametrize("n", range(12, 21))
+    def test_one_row_weights_are_uniform(self, n):
+        # every cell of a 1 x n grid, n > MAX_COLS, lies in the row table's
+        # zone, whose P[1] is a ratio of completion counts: each accepted
+        # table unmoved by rho_clamp carries the weight 1 / q = the fiber's
+        # size, so in particular the tables that share cell 0's value carry
+        # one weight
+        rng = np.random.default_rng(n)
+        stats = SuffStats.of(BinaryTable(1, n, tuple(int(v) for v in rng.random(n) < 0.35)))
+        size = sum(row_completions(n, 1, v, stats.t1 - v, stats.t2) for v in (0, 1))
+        unclamped = 0
+        for u in uniform_rows(3000 + n, n, 0, 200):
+            draw = run_trial(1, n, stats, CFG, u)
+            assert draw.accepted, stats
+            if not zone_clamped(draw.table, stats):
+                unclamped += 1
+                weight = math.exp(-draw.log_q)
+                assert math.isclose(weight, size, rel_tol=1e-12), (stats, draw.table)
+        assert unclamped >= 100
+
+    @pytest.mark.parametrize("stats", [SuffStats(4, 8), SuffStats(5, 11), SuffStats(6, 10)])
+    def test_2x12_fiber_size_coverage(self, stats):
+        # the second row lies in the zone; as in criterion 2, the estimate
+        # lies within 3 standard errors of the exact size in 95 of 100 runs
+        size = enumerate_fiber(2, 12, stats).size
+        hits = 0
+        for rep in range(100):
+            seed = 12_000 + 100 * stats.t1 + rep
+            report = report_from_batch(collect_trials(2, 12, stats, CFG, seed, 1000), "u", 0)
+            est, se = report.fiber_size_estimate, report.fiber_size_se
+            hits += abs(est - size) <= 3 * se or est == size
+        assert hits >= 95, (stats, size, hits)
 
 
 def wide_first_rows(cols):

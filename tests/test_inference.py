@@ -176,7 +176,7 @@ class TestWindowStats:
         # without the endgame screen some trials reject, across three blocks
         from isingfiber.sampler import run_trial, uniform_rows
 
-        stats, cfg = SuffStats(5, 6), SamplerConfig(lp_cell_threshold=0)
+        stats, cfg = SuffStats(5, 6), SamplerConfig(endgame_cells=0)
         batch = collect_trials(4, 4, stats, cfg, seed=3, n_trials=600)
         assert 0 < batch.n_accepted < 600
         assert (batch.stat_u[~batch.accepted] == -1).all()
@@ -305,7 +305,7 @@ class TestBatchDriver:
     def test_json_payload_fields(self):
         report = TestReport(10, 8, 0.8, 0.1, 0.2, 0.5, 10 / 1.5, 4.0, 0.3, math.log(4.0), 0.075, 1, "u")
         payload = report.json_payload(seed=9, config={"rows": 2})
-        assert payload["schema"] == 4
+        assert payload["schema"] == 5
         assert payload["seed"] == 9
         assert set(payload) == {
             "schema",

@@ -227,13 +227,13 @@ def _reference_grids():
 
 
 # name: (run_trial's config, whether the reference runs its endgame). "no-lp"
-# is the retired switch that turned the endgame off: lp_cell_threshold=0 leaves
+# is the retired switch that turned the endgame off: endgame_cells=0 leaves
 # only the last cell's lookup, which must decide as the screens do there
 REFERENCE_CONFIGS = {
     "default": (SamplerConfig(), True),
     "naive": (SamplerConfig(naive_proposal=True), True),
-    "no-lp": (SamplerConfig(lp_cell_threshold=0), False),
-    "lp-cells-0": (SamplerConfig(lp_cell_threshold=0), True),
+    "no-lp": (SamplerConfig(endgame_cells=0), False),
+    "lp-cells-0": (SamplerConfig(endgame_cells=0), True),
 }
 
 
@@ -331,10 +331,12 @@ class TestBranchMemo:
 
     def test_shared_fresh_and_absent_memos_agree(self):
         # the batch's trials share one memo; the benchmark's positional call
-        # hands in a fresh {}, and None makes a fresh memo, as replay does
+        # hands in a fresh {}, None makes a fresh memo, and the replays share
+        # one of their own
         stats, n, seed = self.gibbs_stats(), 400, 31
         batch = collect_trials(20, 20, stats, CFG, seed, 40)
         assert batch.n_accepted
+        replay_memo = {}
         for i in range(40):
             u = uniform_rows(seed, n, i, 1)[0]
             fresh = run_trial(20, 20, stats, CFG, u, {}, None)
@@ -343,14 +345,17 @@ class TestBranchMemo:
             assert fresh.accepted == batch.accepted[i]
             if fresh.accepted:
                 assert fresh.log_q.hex() == batch.log_q[i].hex()
-                assert replay_log_q(fresh.table, stats, CFG).hex() == fresh.log_q.hex()
+                replayed = replay_log_q(fresh.table, stats, CFG, replay_memo)
+                assert replayed.hex() == fresh.log_q.hex()
             else:
                 assert fresh.stage == batch.stage[i]
 
     def test_memo_spares_the_logs(self, monkeypatch):
-        # with the memo, a step where both values pass calls log once, for
-        # the branch taken; each memo entry costs four more: log(var) for
-        # either value, log(mu) and log(1 - mu)
+        # a step where both values pass calls log once, for the branch taken:
+        # with the memo before the endgame, and in the row table's zone,
+        # whose P[1] is a ratio of counts. Each memo entry costs four more:
+        # log(var) for either value, log(mu) and log(1 - mu); the zone adds
+        # none
         import isingfiber.inference as inference
         import isingfiber.sampler as sampler
 
@@ -374,6 +379,7 @@ class TestBranchMemo:
         for u in uniform_rows(seed, n, 0, trials):
             reference_trial(20, 20, stats, CFG, u, branch_cells)
         assert 0 < entries < len(branch_cells)
+        assert any(idx >= n - 20 for idx in branch_cells)  # some in the zone
         assert len(calls) == len(branch_cells) + 4 * entries
 
 
@@ -402,29 +408,32 @@ class TestSingleOne:
 
 class TestSupport:
     def test_every_3x3_fiber_member_reachable(self, fibers_3x3):
+        memo = {}  # replays of one shape share a memo
         for stats in fibers_3x3:
             for member in fiber_members(3, 3, stats):
-                assert math.isfinite(replay_log_q(member, stats, CFG))
+                assert math.isfinite(replay_log_q(member, stats, CFG, memo))
 
     @pytest.mark.parametrize("stats", [SuffStats(5, 6), SuffStats(4, 12), SuffStats(6, 16)])
     def test_4x4_fiber_members_reachable(self, stats):
+        memo = {}
         for member in fiber_members(4, 4, stats):
-            assert math.isfinite(replay_log_q(member, stats, CFG))
+            assert math.isfinite(replay_log_q(member, stats, CFG, memo))
 
     def test_support_without_lp_and_naive(self):
         stats = SuffStats(3, 8)
-        for cfg in (SamplerConfig(lp_cell_threshold=0), SamplerConfig(naive_proposal=True)):
+        for cfg in (SamplerConfig(endgame_cells=0), SamplerConfig(naive_proposal=True)):
+            memo = {}
             for member in fiber_members(3, 3, stats):
-                assert math.isfinite(replay_log_q(member, stats, cfg))
+                assert math.isfinite(replay_log_q(member, stats, cfg, memo))
 
     def test_replay_names_the_first_cell_it_cannot_follow(self, monkeypatch):
         # with an unsound single-one screen patched in, value 0 at cell 0 is
         # excluded: (0, 0, 1) is drawn as (1, 0, 0), and (0, 1, 0) is
-        # rejected. The screen runs outside the endgame, so --lp-cells 0.
+        # rejected. The screen runs outside the endgame, so --endgame-cells 0.
         import isingfiber.sampler as sampler
 
         monkeypatch.setattr(sampler, "_single_one_feasible", lambda *args: False)
-        cfg = SamplerConfig(lp_cell_threshold=0)
+        cfg = SamplerConfig(endgame_cells=0)
         with pytest.raises(OffFiberError, match="value 0 at cell 0 is outside"):
             replay_log_q(BinaryTable(1, 3, (0, 0, 1)), SuffStats(1, 1), cfg)
         with pytest.raises(OffFiberError, match="rejects the table at cell 0"):
@@ -438,16 +447,17 @@ class TestSupport:
 class TestReplayEquality:
     @pytest.mark.parametrize(
         "config",
-        [SamplerConfig(), SamplerConfig(lp_cell_threshold=0), SamplerConfig(naive_proposal=True)],
+        [SamplerConfig(), SamplerConfig(endgame_cells=0), SamplerConfig(naive_proposal=True)],
     )
     def test_replay_matches_draw_bit_for_bit(self, config, fibers_3x3):
+        memo = {}  # replays of one shape share a memo
         for stats in list(fibers_3x3)[::6]:
             step_cache = {}
             uniforms = uniform_rows(99, 9, 0, 120)
             for i in range(120):
                 draw = run_trial(3, 3, stats, config, uniforms[i], step_cache=step_cache)
                 if draw.accepted:
-                    assert replay_log_q(draw.table, stats, config) == draw.log_q
+                    assert replay_log_q(draw.table, stats, config, memo) == draw.log_q
 
     def test_replay_of_forced_path_is_zero(self):
         table = BinaryTable(2, 2, (1, 1, 1, 1))
@@ -491,7 +501,7 @@ class TestLPPruningNeutrality:
         stats = SuffStats(4, 10)
         summary = enumerate_fiber(3, 3, stats)
         exact_p1, exact_p2 = exact_pvalues(summary, 1)
-        for cfg in (SamplerConfig(), SamplerConfig(lp_cell_threshold=0)):
+        for cfg in (SamplerConfig(), SamplerConfig(endgame_cells=0)):
             batch = collect_trials(3, 3, stats, cfg, seed=21, n_trials=6000)
             report = report_from_batch(batch, "u", 1)
             assert report.p1 == pytest.approx(exact_p1, abs=0.02)
