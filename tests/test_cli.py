@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from isingfiber.cli import main
 from isingfiber.grid import BinaryTable, ParseError, format_table, parse_table
+from isingfiber.models import AutologisticParams, IsingParams
+from reference_gibbs import gibbs_autologistic as reference_autologistic
+from reference_gibbs import gibbs_ising as reference_ising
 
 
 def run_cli(capsys, *args):
@@ -126,6 +129,37 @@ class TestSimulate:
         )
         assert code == 0
         assert parse_table(out).rows == 5
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_prints_the_reference_loops_table(self, capsys, seed):
+        # the printed table is the one the inline reference loops draw from
+        # default_rng(seed), for both models
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "ising",
+            "--rows", "9", "--cols", "7", "--alpha", "-0.5", "--beta", "0.4",
+            "--seed", str(seed), "--sweeps", "150",
+        )
+        expected = reference_ising(IsingParams(-0.5, 0.4), 9, 7, 150, np.random.default_rng(seed))
+        assert code == 0 and out == format_table(expected)
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "autologistic",
+            "--rows", "6", "--cols", "8",
+            "--b0", "-1", "--b1", "0.5", "--b2", "0.3", "--b3", "-0.4", "--b4", "0.2",
+            "--seed", str(seed), "--sweeps", "150",
+        )
+        params = AutologisticParams(-1.0, 0.5, 0.3, -0.4, 0.2)
+        expected = reference_autologistic(params, 6, 8, 150, np.random.default_rng(seed))
+        assert code == 0 and out == format_table(expected)
+
+    @pytest.mark.parametrize("rows", ["0", "-1"])
+    def test_empty_shape_exits_one(self, capsys, rows):
+        code, out, err = run_cli(
+            capsys, "simulate", "ising", "--rows", rows, "--cols", "3", "--alpha", "0", "--beta", "0"
+        )
+        assert code == 1 and out == ""
+        assert "table shape must be positive" in err
 
     def test_missing_required_flag(self, capsys):
         code, out, err = run_cli_exit(
@@ -247,7 +281,7 @@ class TestJsonOutput:
     @pytest.mark.parametrize(
         "rows, cols, extra",
         [(1, 30, []), (10, 10, ["--endgame-cells", "40"])],
-        ids=["1x30", "10x10-lp-cells-40"],
+        ids=["1x30", "10x10-endgame-cells-40"],
     )
     def test_row_endgame_shapes_end_in_a_report(self, capsys, tmp_path, rows, cols, extra):
         # neither shape has the narrow endgame table (30 columns; the last

@@ -176,8 +176,12 @@ class TestReferenceGibbs:
 
     @staticmethod
     def assert_same(sample, reference, params, rows, cols, sweeps, seed):
-        got = sample(params, rows, cols, sweeps, np.random.default_rng(seed))
-        assert got == reference(params, rows, cols, sweeps, np.random.default_rng(seed))
+        # the same table, and the generator left where the reference leaves it
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample(params, rows, cols, sweeps, rng) == reference(
+            params, rows, cols, sweeps, reference_rng
+        )
+        assert rng.random() == reference_rng.random()
 
     @pytest.mark.parametrize(
         "size, alpha, draws", [(10, -2.0, range(8)), (20, -3.0, range(3))], ids=["10x10", "20x20"]
@@ -207,6 +211,40 @@ class TestReferenceGibbs:
         params = AutologisticParams(-2.0, 0.2, -0.2, 0.2, -0.2)
         for i in range(2):
             self.assert_same(gibbs_autologistic, reference_autologistic, params, 20, 20, 1001, (801, i))
+
+    @pytest.mark.parametrize("sweeps", [1, 40, 301])
+    def test_dense_parameters(self, sweeps):
+        # strong coupling puts most cells' uniforms between their lowest and
+        # highest conditional, so the raster order settles most of them
+        cases = [(IsingParams(0.0, 0.5), 8, 8), (IsingParams(0.3, -0.4), 6, 6), (IsingParams(-1.0, 0.8), 5, 9)]
+        for params, rows, cols in cases:
+            self.assert_same(gibbs_ising, reference_ising, params, rows, cols, sweeps, (13, rows, sweeps))
+        for params in (AutologisticParams(0.0, 0.6, -0.6, 0.5, -0.5), AutologisticParams(-0.4, 1.0, 1.0, -0.8, 0.3)):
+            self.assert_same(
+                gibbs_autologistic, reference_autologistic, params, 7, 6, sweeps, (14, sweeps)
+            )
+
+    @pytest.mark.parametrize("rows, cols", [(20, 20), (8, 8), (7, 9), (1, 200)])
+    def test_sweep_counts_around_a_chunk(self, rows, cols):
+        # the uniforms come in chunks of whole sweeps; a run that ends one
+        # sweep before, at or after a chunk boundary draws the same stream
+        import isingfiber.models as models
+
+        chunk = models._CHUNK_CELLS // (rows * cols)
+        assert chunk > 1
+        for sweeps in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            self.assert_same(
+                gibbs_ising, reference_ising, IsingParams(-0.5, 0.4), rows, cols, sweeps, (15, sweeps)
+            )
+            self.assert_same(
+                gibbs_autologistic,
+                reference_autologistic,
+                AutologisticParams(-0.5, 0.4, 0.3, -0.3, 0.2),
+                rows,
+                cols,
+                sweeps,
+                (16, sweeps),
+            )
 
     def test_the_checked_conditionals_drive_the_sweep(self, monkeypatch):
         # with each helper's log-odds negated, the drawn tables change: the
