@@ -15,7 +15,7 @@ from .cutlp import CellBounds, cell_bounds
 from .inference import TestReport, run_exact_test
 from .models import AutologisticParams, IsingParams, gibbs_autologistic, gibbs_ising
 from .oracle import FiberSummary, enumerate_fiber, exact_pvalues
-from .sampler import Draw, PartialTable, SamplerConfig, replay_log_q
+from .sampler import Draw, SamplerConfig, replay_log_q
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "FiberSummary",
     "IsingParams",
     "ParseError",
-    "PartialTable",
     "SamplerConfig",
     "SuffStats",
     "TestReport",

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import SuffStats, topology
+from .grid import SuffStats, check_prefix, topology
 from .simplex import FEAS_TOL, solve_canonical
 
 ROUND_TOL = 1e-6
@@ -111,16 +111,22 @@ def prefix_rows(rows: int, cols: int, prefix: Sequence[int]) -> tuple[np.ndarray
     return A_ub, np.array(b_ub, dtype=float), n_cells
 
 
-def _solve(partial, stats: SuffStats, cell: int | None = None) -> list[np.ndarray] | None:
-    """The optimal points of the LP of `partial`'s state, or None if it is
+def _solve(
+    rows: int, cols: int, stats: SuffStats, prefix, cell: int | None = None
+) -> list[np.ndarray] | None:
+    """The optimal points of the LP of the raster prefix, or None if it is
     infeasible: one feasibility solve when cell is None, else the min and then
     the max of the cell's apex variable. r1 or r2 out of range, or a complete
-    prefix, answers from the counts alone. `partial` is read by attribute, so
-    the sampler's PartialTable serves without being imported here.
+    prefix, answers from the counts alone. Raises ValueError on a prefix or
+    cell that grid.check_prefix refuses.
     """
-    A_ub, b_ub, n_cells = prefix_rows(partial.rows, partial.cols, partial.prefix)
+    check_prefix(rows, cols, prefix, cell)
+    A_ub, b_ub, n_cells = prefix_rows(rows, cols, prefix)
     n_vars = A_ub.shape[1]
-    r1, r2 = stats.t1 - partial.placed_ones, stats.t2 - partial.discord
+    k = len(prefix)
+    # edges are stored with the lower raster index first
+    discord = sum(prefix[a] != prefix[b] for a, b in topology(rows, cols).edges if b < k)
+    r1, r2 = stats.t1 - sum(prefix), stats.t2 - discord
     if not (0 <= r1 <= n_cells and 0 <= r2 <= n_vars - n_cells):
         return None
     if n_vars == 0:
@@ -130,7 +136,7 @@ def _solve(partial, stats: SuffStats, cell: int | None = None) -> list[np.ndarra
     b_eq = np.array([float(r1), float(r2)])
     c = np.zeros(n_vars)
     if cell is not None:
-        c[cell - len(partial.prefix)] = 1.0
+        c[cell - k] = 1.0
     points = []
     for objective in [c] if cell is None else [c, -c]:
         res = solve_canonical(objective, A_ub, b_ub, A_eq, b_eq, np.ones(n_vars))
@@ -140,9 +146,9 @@ def _solve(partial, stats: SuffStats, cell: int | None = None) -> list[np.ndarra
     return points
 
 
-def state_lp_feasible(partial, stats: SuffStats) -> bool:
-    """LP feasibility of a raster state: the prefix of `partial`, with r1
-    ones and r2 discords left to place.
+def state_lp_feasible(rows: int, cols: int, stats: SuffStats, prefix) -> bool:
+    """LP feasibility of a raster state: the prefix, with r1 ones and r2
+    discords left to place.
 
     Equivalent to the full suspension LP with the determined cells and the
     edges between them pinned: constraints entirely inside the determined
@@ -150,23 +156,23 @@ def state_lp_feasible(partial, stats: SuffStats) -> bool:
     cut semimetric, and every other row is a row of prefix_rows. A complete
     prefix is feasible iff r1 = r2 = 0.
     """
-    return _solve(partial, stats) is not None
+    return _solve(rows, cols, stats, prefix) is not None
 
 
-def cell_bounds(partial, stats: SuffStats, cell: int) -> CellBounds:
-    """Integerized LP bounds for one undetermined cell of `partial`'s prefix.
+def cell_bounds(rows: int, cols: int, stats: SuffStats, prefix, cell: int) -> CellBounds:
+    """Integerized LP bounds for one undetermined cell after a raster prefix.
 
     The min and the max of the cell's apex variable over the state's rows.
     Sound for the relaxation: every fiber completion of the prefix has its
     cell value inside [lo, hi]. When the rounded interval is empty the fiber
-    itself must be empty, so that case also reports infeasible.
+    itself must be empty, so that case also reports infeasible. The
+    arguments are those of oracle.exact_cell_bounds, and so is the check
+    that refuses a bad prefix or cell with ValueError.
     """
-    k, n = len(partial.prefix), partial.rows * partial.cols
-    if not k <= cell < n:
-        raise ValueError(f"need an undetermined cell in [{k}, {n}), got {cell}")
-    points = _solve(partial, stats, cell)
+    points = _solve(rows, cols, stats, prefix, cell)
     if points is None:
         return CellBounds("infeasible")
+    k = len(prefix)
     lo = max(0, int(np.ceil(points[0][cell - k] - ROUND_TOL)))
     hi = min(1, int(np.floor(points[1][cell - k] + ROUND_TOL)))
     if lo > hi:

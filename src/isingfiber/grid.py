@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 
 _BITS = frozenset((0, 1))
 
@@ -227,6 +229,19 @@ def topology(rows: int, cols: int) -> GridTopology:
     return GridTopology(rows, cols)
 
 
+def check_prefix(rows: int, cols: int, prefix, cell: int | None = None) -> None:
+    """Raise ValueError unless `prefix` is a raster prefix of the grid (at
+    most rows*cols values, each 0 or 1) and `cell`, when given, is a cell it
+    leaves undetermined: len(prefix) <= cell < rows*cols."""
+    n, k = rows * cols, len(prefix)
+    if any(v not in (0, 1) for v in prefix):
+        raise ValueError(f"prefix values must be 0 or 1, got {tuple(prefix)}")
+    if k > n:
+        raise ValueError(f"prefix of {k} cells is longer than the grid's {n}")
+    if cell is not None and not k <= cell < n:
+        raise ValueError(f"need an undetermined cell in [{k}, {n}), got {cell}")
+
+
 def t1(table: BinaryTable) -> int:
     """Number of ones in the table."""
     return sum(table.cells)
@@ -238,38 +253,32 @@ def t2(table: BinaryTable) -> int:
     return sum(cells[a] != cells[b] for a, b in topology(table.rows, table.cols).edges)
 
 
+def window_stats(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u and uprime of each table in a (count, rows, cols) 0-1 array, counted
+    over all 2x2 windows at once. u counts the windows equal to [[1,0],[0,1]]
+    or [[0,1],[1,0]]; uprime those equal to [[0,0],[1,1]], in that literal
+    orientation only (its rotations are not counted)."""
+    a, b = tables[:, :-1, :-1], tables[:, :-1, 1:]
+    c, d = tables[:, 1:, :-1], tables[:, 1:, 1:]
+    u = ((a != b) & (a == d) & (b == c)).sum(axis=(1, 2))
+    # [[0,0],[1,1]]: c & d is 1 exactly where a | b is 0
+    uprime = ((c & d) > (a | b)).sum(axis=(1, 2))
+    return u, uprime
+
+
+def _window_stats_of(table: BinaryTable) -> tuple[np.ndarray, np.ndarray]:
+    cells = np.array(table.cells, dtype=np.int8).reshape(1, table.rows, table.cols)
+    return window_stats(cells)
+
+
 def u_stat(table: BinaryTable) -> int:
     """Number of 2x2 windows equal to [[1,0],[0,1]] or [[0,1],[1,0]]."""
-    m, n, cells = table.rows, table.cols, table.cells
-    count = 0
-    for i in range(m - 1):
-        base = i * n
-        for j in range(n - 1):
-            a, b = cells[base + j], cells[base + j + 1]
-            c, d = cells[base + n + j], cells[base + n + j + 1]
-            if a == d and b == c and a != b:
-                count += 1
-    return count
+    return int(_window_stats_of(table)[0][0])
 
 
 def u_prime_stat(table: BinaryTable) -> int:
-    """Number of 2x2 windows equal to [[0,0],[1,1]].
-
-    Only the literal orientation is counted; rotations of the window are not.
-    """
-    m, n, cells = table.rows, table.cols, table.cells
-    count = 0
-    for i in range(m - 1):
-        base = i * n
-        for j in range(n - 1):
-            if (
-                cells[base + j] == 0
-                and cells[base + j + 1] == 0
-                and cells[base + n + j] == 1
-                and cells[base + n + j + 1] == 1
-            ):
-                count += 1
-    return count
+    """Number of 2x2 windows equal to [[0,0],[1,1]] (see window_stats)."""
+    return int(_window_stats_of(table)[1][0])
 
 
 STATISTICS = {"u": u_stat, "uprime": u_prime_stat}

@@ -19,7 +19,7 @@ import numpy as np
 
 # u_stat and u_prime_stat are not called here (window_stats counts both over
 # a block of tables); they stay module attributes, which bench/tracer.py wraps
-from .grid import BinaryTable, SuffStats, u_prime_stat, u_stat  # noqa: F401
+from .grid import BinaryTable, SuffStats, u_prime_stat, u_stat, window_stats  # noqa: F401
 from .sampler import SamplerConfig, new_step_cache, run_trial, uniform_rows
 
 
@@ -183,17 +183,6 @@ class TrialBatch:
 
 
 _SUB_BLOCK = 256
-
-
-def window_stats(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u and uprime (see grid.u_stat and grid.u_prime_stat) of each table in
-    a (count, rows, cols) 0-1 array, counted over all 2x2 windows at once."""
-    a, b = tables[:, :-1, :-1], tables[:, :-1, 1:]
-    c, d = tables[:, 1:, :-1], tables[:, 1:, 1:]
-    u = ((a != b) & (a == d) & (b == c)).sum(axis=(1, 2))
-    # [[0,0],[1,1]]: c & d is 1 exactly where a | b is 0
-    uprime = ((c & d) > (a | b)).sum(axis=(1, 2))
-    return u, uprime
 
 
 def _run_range(rows, cols, stats, config, seed, start, stop, step_cache):

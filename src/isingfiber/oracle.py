@@ -8,13 +8,14 @@ the LP bounds, and the importance estimates.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterator
 
 import numpy as np
 
-from .grid import STATISTICS, BinaryTable, SuffStats, topology
+from .grid import BinaryTable, SuffStats, check_prefix, topology, window_stats
 
 DEFAULT_CELL_CAP = 25
 _CHUNK = 65536
@@ -41,17 +42,40 @@ def _check_cap(rows: int, cols: int, cap: int) -> None:
         )
 
 
+def _members(rows: int, cols: int, stats: SuffStats, prefix) -> Iterator[np.ndarray]:
+    """The fiber members that begin with `prefix`, as (count, rows*cols) int8
+    chunks, in lexicographic order of their one-positions: the enumeration
+    behind fiber_members, enumerate_fiber and exact_cell_bounds. Each chunk
+    tests up to _CHUNK placements of the ones left to place among the cells
+    after the prefix."""
+    topo = topology(rows, cols)
+    n, k = topo.n_cells, len(prefix)
+    r1 = stats.t1 - sum(prefix)
+    if not 0 <= r1 <= n - k:
+        return
+    ea = np.fromiter((a for a, _ in topo.edges), dtype=np.intp)
+    eb = np.fromiter((b for _, b in topo.edges), dtype=np.intp)
+    base = np.zeros(n, dtype=np.int8)
+    base[:k] = prefix
+    combos = combinations(range(k, n), r1)
+    while True:
+        chunk = list(islice(combos, _CHUNK))
+        if not chunk:
+            return
+        x = np.tile(base, (len(chunk), 1))
+        if r1:
+            x[np.repeat(np.arange(len(chunk)), r1), np.array(chunk, dtype=np.intp).ravel()] = 1
+        x = x[(x[:, ea] != x[:, eb]).sum(axis=1) == stats.t2]
+        if len(x):
+            yield x
+
+
 def fiber_members(rows: int, cols: int, stats: SuffStats, cap: int = DEFAULT_CELL_CAP) -> Iterator[BinaryTable]:
     """Yield every table in the fiber, in lexicographic order of one-positions."""
     _check_cap(rows, cols, cap)
     stats.validate_for(rows, cols)
-    topo = topology(rows, cols)
-    n = topo.n_cells
-    for ones in combinations(range(n), stats.t1):
-        cells = [0] * n
-        for k in ones:
-            cells[k] = 1
-        if sum(cells[a] != cells[b] for a, b in topo.edges) == stats.t2:
+    for x in _members(rows, cols, stats, ()):
+        for cells in x.tolist():
             yield BinaryTable(rows, cols, tuple(cells))
 
 
@@ -65,29 +89,11 @@ def enumerate_fiber(
     """Exhaustively count the fiber and histogram the chosen statistic over it."""
     _check_cap(rows, cols, cap)
     stats.validate_for(rows, cols)
-    topo = topology(rows, cols)
-    n = topo.n_cells
-    stat_fn = STATISTICS[stat_name]
-    ea = np.fromiter((a for a, _ in topo.edges), dtype=np.intp)
-    eb = np.fromiter((b for _, b in topo.edges), dtype=np.intp)
-
-    size = 0
-    histogram: dict[int, int] = {}
-    combos = combinations(range(n), stats.t1)
-    while True:
-        chunk = list(islice(combos, _CHUNK))
-        if not chunk:
-            break
-        x = np.zeros((len(chunk), n), dtype=np.int8)
-        rows_idx = np.repeat(np.arange(len(chunk)), stats.t1)
-        if chunk and stats.t1:
-            x[rows_idx, np.array(chunk, dtype=np.intp).ravel()] = 1
-        t2s = (x[:, ea] != x[:, eb]).sum(axis=1)
-        for row in np.nonzero(t2s == stats.t2)[0]:
-            table = BinaryTable(rows, cols, tuple(int(v) for v in x[row]))
-            s = stat_fn(table)
-            histogram[s] = histogram.get(s, 0) + 1
-            size += 1
+    which = {"u": 0, "uprime": 1}[stat_name]  # the statistic's place in window_stats
+    histogram = Counter()
+    for x in _members(rows, cols, stats, ()):
+        histogram.update(window_stats(x.reshape(-1, rows, cols))[which].tolist())
+    size = sum(histogram.values())
     return FiberSummary(rows, cols, stats, size, stat_name, dict(sorted(histogram.items())))
 
 
@@ -103,31 +109,18 @@ def exact_pvalues(summary: FiberSummary, observed: int) -> tuple[float, float]:
 def exact_cell_bounds(rows, cols, stats, prefix, cell, cap: int = DEFAULT_CELL_CAP):
     """Min/max value of `cell` over all fiber completions of a raster prefix.
 
-    `prefix` is the sequence of already-determined leading cell values. Returns
-    (lo, hi) or None when no completion exists.
+    `prefix` is the sequence of already-determined leading cell values, and
+    `cell` must be a cell after it (see grid.check_prefix). Returns (lo, hi)
+    or None when no completion exists.
     """
     _check_cap(rows, cols, cap)
-    topo = topology(rows, cols)
-    n = topo.n_cells
-    k = len(prefix)
-    remaining_ones = stats.t1 - sum(prefix)
-    free = range(k, n)
-    if remaining_ones < 0 or remaining_ones > n - k:
-        return None
-    lo, hi = None, None
-    for ones in combinations(free, remaining_ones):
-        cells = list(prefix) + [0] * (n - k)
-        for idx in ones:
-            cells[idx] = 1
-        if sum(cells[a] != cells[b] for a, b in topo.edges) == stats.t2:
-            v = cells[cell]
-            lo = v if lo is None else min(lo, v)
-            hi = v if hi is None else max(hi, v)
-            if lo == 0 and hi == 1:
-                break
-    if lo is None:
-        return None
-    return lo, hi
+    check_prefix(rows, cols, prefix, cell)
+    lo, hi = 1, 0
+    for x in _members(rows, cols, stats, prefix):
+        lo, hi = min(lo, int(x[:, cell].min())), max(hi, int(x[:, cell].max()))
+        if lo < hi:
+            break
+    return None if lo > hi else (lo, hi)
 
 
 def nonempty_fibers(rows: int, cols: int, cap: int = DEFAULT_CELL_CAP) -> dict[SuffStats, int]:

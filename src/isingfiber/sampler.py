@@ -45,8 +45,6 @@ from .cutlp import state_lp_feasible  # noqa: F401
 from .endgame import endgame_table, row_endgame
 from .grid import BinaryTable, SuffStats, topology
 
-UNKNOWN = -1
-
 # Gaussian branch-weight shape: on large grids the variance of the
 # future-discord model is scaled down to steer trials firmly onto the feasible
 # ridge; on small grids (few edges in total) the honest variance is kept, as
@@ -124,58 +122,6 @@ class Draw:
     @classmethod
     def reject(cls, stage: int) -> "Draw":
         return cls(None, None, stage)
-
-
-@dataclass
-class PartialTable:
-    """Raster-prefix state: cells before next_index are determined.
-
-    The counters are maintained incrementally: placed_ones and discord restrict
-    t1/t2 to the determined region, det_edges counts edges with both endpoints
-    determined, and frontier_ones counts edges whose single determined endpoint
-    is a one (the discord the all-zero completion would add).
-    """
-
-    rows: int
-    cols: int
-    cells: list[int]
-    next_index: int = 0
-    placed_ones: int = 0
-    discord: int = 0
-    det_edges: int = 0
-    frontier_ones: int = 0
-
-    @classmethod
-    def empty(cls, rows: int, cols: int) -> "PartialTable":
-        return cls(rows, cols, [UNKNOWN] * (rows * cols))
-
-    @classmethod
-    def from_prefix(cls, rows: int, cols: int, values) -> "PartialTable":
-        state = cls.empty(rows, cols)
-        for v in values:
-            state.place(v)
-        return state
-
-    @property
-    def prefix(self) -> tuple[int, ...]:
-        return tuple(self.cells[: self.next_index])
-
-    def place(self, value: int) -> None:
-        if value not in (0, 1):
-            raise ValueError(f"cell value must be 0 or 1, got {value}")
-        idx = self.next_index
-        if idx >= self.rows * self.cols:
-            raise ValueError("table is already complete")
-        topo = topology(self.rows, self.cols)
-        for nb in (topo.up[idx], topo.left[idx]):
-            if nb >= 0:
-                self.det_edges += 1
-                self.discord += value != self.cells[nb]
-                self.frontier_ones -= self.cells[nb]
-        self.frontier_ones += value * topo.fwd_degree[idx]
-        self.cells[idx] = value
-        self.placed_ones += value
-        self.next_index = idx + 1
 
 
 def _single_one_feasible(topo, cells, idx: int, v: int, f1_after: int, r2p: int) -> bool:

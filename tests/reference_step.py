@@ -1,4 +1,7 @@
-"""The sampler's per-cell step written as a plain loop on PartialTable.
+"""The sampler's per-cell step written as a plain loop on a PartialTable.
+
+`PartialTable` is a raster-prefix state with counters kept one placement at
+a time; it lives here because this loop is the only code that steps one.
 
 This is the reference for `sampler.run_trial`: the screens one value at a
 time (`feasible_values`, with the single-one check as a scan over every free
@@ -13,19 +16,63 @@ a forward count over completions that shares no code with either endgame
 table.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, log
 
 from isingfiber.endgame import endgame_table
 from isingfiber.grid import BinaryTable, topology
-from isingfiber.sampler import (
-    EXACT_ONE_LIMIT,
-    UNKNOWN,
-    VAR_FLOOR,
-    Draw,
-    PartialTable,
-    _var_scale,
-)
+from isingfiber.sampler import EXACT_ONE_LIMIT, VAR_FLOOR, Draw, _var_scale
+
+UNKNOWN = -1
+
+
+@dataclass
+class PartialTable:
+    """Raster-prefix state: cells before next_index are determined.
+
+    The counters are maintained incrementally: placed_ones and discord restrict
+    t1/t2 to the determined region, det_edges counts edges with both endpoints
+    determined, and frontier_ones counts edges whose single determined endpoint
+    is a one (the discord the all-zero completion would add).
+    """
+
+    rows: int
+    cols: int
+    cells: list[int]
+    next_index: int = 0
+    placed_ones: int = 0
+    discord: int = 0
+    det_edges: int = 0
+    frontier_ones: int = 0
+
+    @classmethod
+    def empty(cls, rows: int, cols: int) -> "PartialTable":
+        return cls(rows, cols, [UNKNOWN] * (rows * cols))
+
+    @classmethod
+    def from_prefix(cls, rows: int, cols: int, values) -> "PartialTable":
+        state = cls.empty(rows, cols)
+        for v in values:
+            state.place(v)
+        return state
+
+    def place(self, value: int) -> None:
+        if value not in (0, 1):
+            raise ValueError(f"cell value must be 0 or 1, got {value}")
+        idx = self.next_index
+        if idx >= self.rows * self.cols:
+            raise ValueError("table is already complete")
+        topo = topology(self.rows, self.cols)
+        for nb in (topo.up[idx], topo.left[idx]):
+            if nb >= 0:
+                self.det_edges += 1
+                self.discord += value != self.cells[nb]
+                self.frontier_ones -= self.cells[nb]
+        self.frontier_ones += value * topo.fwd_degree[idx]
+        self.cells[idx] = value
+        self.placed_ones += value
+        self.next_index = idx + 1
 
 
 def single_one_feasible(topo, cells, idx, v, f1_after, r2p):

@@ -24,7 +24,7 @@ from isingfiber.oracle import (
     fiber_members,
     nonempty_fibers,
 )
-from isingfiber.sampler import PartialTable, SamplerConfig, run_trial, uniform_rows
+from isingfiber.sampler import SamplerConfig, run_trial, uniform_rows
 
 FIBERS_4X4 = [
     SuffStats(3, 10),
@@ -138,7 +138,7 @@ def test_criterion_5_lp_soundness():
         k = int(rng.integers(0, n))
         prefix = tuple(int(v) for v in rng.integers(0, 2, k))
         cell = int(rng.integers(k, n))
-        got = cell_bounds(PartialTable.from_prefix(rows, cols, prefix), stats, cell)
+        got = cell_bounds(rows, cols, stats, prefix, cell)
         exact = exact_cell_bounds(rows, cols, stats, prefix, cell)
         checked += 1
         if exact is None:
@@ -148,9 +148,9 @@ def test_criterion_5_lp_soundness():
         elif not (got.lo <= exact[0] and exact[1] <= got.hi):
             false_exclusions += 1
     specific_ok = (
-        cell_bounds(PartialTable.empty(2, 2), SuffStats(1, 3), 0).status == "infeasible"
-        and cell_bounds(PartialTable.empty(2, 2), SuffStats(4, 0), 0).lo == 1
-        and cell_bounds(PartialTable.empty(2, 2), SuffStats(4, 0), 0).hi == 1
+        cell_bounds(2, 2, SuffStats(1, 3), (), 0).status == "infeasible"
+        and cell_bounds(2, 2, SuffStats(4, 0), (), 0).lo == 1
+        and cell_bounds(2, 2, SuffStats(4, 0), (), 0).hi == 1
     )
     ok = false_exclusions == 0 and false_infeasible == 0 and specific_ok
     _verdict(

@@ -14,12 +14,7 @@ from isingfiber.cutlp import (
 )
 from isingfiber.grid import BinaryTable, SuffStats, t1, t2, topology
 from isingfiber.oracle import exact_cell_bounds, fiber_members
-from isingfiber.sampler import PartialTable
 from isingfiber.simplex import solve_canonical
-
-
-def P(rows, cols, prefix=()):
-    return PartialTable.from_prefix(rows, cols, prefix)
 
 
 @pytest.fixture
@@ -146,7 +141,7 @@ class TestBuildLP:
         A_ub, _, n_cells = prefix_rows(rows, cols, ())
         # triangle rows touch an apex variable, square rows only grid edges
         touches_cell = A_ub[:, :n_cells].any(axis=1)
-        assert state_lp_feasible(P(rows, cols), SuffStats(1, 2))
+        assert state_lp_feasible(rows, cols, SuffStats(1, 2), ())
         (_, A_ub_solved, _, A_eq, _, _), = solves
         assert np.array_equal(A_ub_solved, A_ub)
         return A_ub.shape, (int(touches_cell.sum()), int((~touches_cell).sum())), A_eq.shape
@@ -162,24 +157,24 @@ class TestSolveLP:
     def test_box_only_problem(self):
         # the 1x1 grid has no edges, so only the box and the t1 row remain
         assert prefix_rows(1, 1, ())[0].shape == (0, 1)
-        assert cell_bounds(P(1, 1), SuffStats(1, 0), 0) == CellBounds("bounded", 1, 1)
-        assert cell_bounds(P(1, 1), SuffStats(0, 0), 0) == CellBounds("bounded", 0, 0)
+        assert cell_bounds(1, 1, SuffStats(1, 0), (), 0) == CellBounds("bounded", 1, 1)
+        assert cell_bounds(1, 1, SuffStats(0, 0), (), 0) == CellBounds("bounded", 0, 0)
 
     def test_contradictory_rows(self):
         # on 1x2, t1 = 0 zeroes both cells and the triangle c <= a + b then
         # contradicts t2 = 1; each row alone is within range
-        assert cell_bounds(P(1, 2), SuffStats(0, 1), 0).status == "infeasible"
-        assert not state_lp_feasible(P(1, 2), SuffStats(0, 1))
-        assert state_lp_feasible(P(1, 2), SuffStats(1, 1))
+        assert cell_bounds(1, 2, SuffStats(0, 1), (), 0).status == "infeasible"
+        assert not state_lp_feasible(1, 2, SuffStats(0, 1), ())
+        assert state_lp_feasible(1, 2, SuffStats(1, 1), ())
 
     def test_empty_fiber_detected(self):
         # triangle rows force t2 <= 2*t1 on the 2x2 grid, so (1, 3) is infeasible
-        assert not state_lp_feasible(P(2, 2), SuffStats(1, 3))
-        assert cell_bounds(P(2, 2), SuffStats(1, 3), 0).status == "infeasible"
+        assert not state_lp_feasible(2, 2, SuffStats(1, 3), ())
+        assert cell_bounds(2, 2, SuffStats(1, 3), (), 0).status == "infeasible"
         assert sum(1 for _ in fiber_members(2, 2, SuffStats(1, 3))) == 0
 
     def test_optimal_solution_satisfies_all_rows(self, solves):
-        bounds = cell_bounds(P(3, 3, (1, 0)), SuffStats(3, 8), 5)
+        bounds = cell_bounds(3, 3, SuffStats(3, 8), (1, 0), 5)
         c, A_ub, b_ub, A_eq, b_eq, upper = solves[1]  # the max of cell 5
         assert c[5 - 2] == -1.0 and np.array_equal(b_eq, [3 - 1, 8 - 1])
         res = solve_canonical(c, A_ub, b_ub, A_eq, b_eq, upper)
@@ -190,36 +185,36 @@ class TestSolveLP:
         assert bounds.hi == int(res.x[5 - 2] + ROUND_TOL)
 
     def test_determinism(self, solves):
-        cell_bounds(P(3, 3, (1, 0, 1)), SuffStats(4, 8), 7)
+        cell_bounds(3, 3, SuffStats(4, 8), (1, 0, 1), 7)
         args = solves[0]  # the min of cell 7
         a, b = solve_canonical(*args), solve_canonical(*args)
         assert a.status == b.status and a.value == b.value
         assert np.array_equal(a.x, b.x)
-        assert cell_bounds(P(3, 3, (1, 0, 1)), SuffStats(4, 8), 7) == cell_bounds(
-            P(3, 3, (1, 0, 1)), SuffStats(4, 8), 7
+        assert cell_bounds(3, 3, SuffStats(4, 8), (1, 0, 1), 7) == cell_bounds(
+            3, 3, SuffStats(4, 8), (1, 0, 1), 7
         )
 
 
 class TestCellBounds:
     def test_all_ones_fiber(self):
-        assert cell_bounds(P(2, 2), SuffStats(4, 0), 0) == CellBounds("bounded", 1, 1)
+        assert cell_bounds(2, 2, SuffStats(4, 0), (), 0) == CellBounds("bounded", 1, 1)
 
     def test_empty_fiber(self):
-        assert cell_bounds(P(2, 2), SuffStats(1, 3), 0).status == "infeasible"
+        assert cell_bounds(2, 2, SuffStats(1, 3), (), 0).status == "infeasible"
 
     def test_corner_of_single_one_fiber(self):
-        assert cell_bounds(P(3, 3), SuffStats(1, 2), 0) == CellBounds("bounded", 0, 1)
+        assert cell_bounds(3, 3, SuffStats(1, 2), (), 0) == CellBounds("bounded", 0, 1)
 
     def test_center_forced_zero(self):
         # matches the oracle: no single-one table with a center one has t2 = 2
-        assert cell_bounds(P(3, 3), SuffStats(1, 2), 4) == CellBounds("bounded", 0, 0)
+        assert cell_bounds(3, 3, SuffStats(1, 2), (), 4) == CellBounds("bounded", 0, 0)
 
     def test_cell_must_be_undetermined(self):
         for prefix, cell in (((1, 0), 1), ((1, 0), 0), ((), -1), ((), 9)):
             with pytest.raises(ValueError):
-                cell_bounds(P(3, 3, prefix), SuffStats(3, 8), cell)
-        assert cell_bounds(P(3, 3, (1, 0)), SuffStats(3, 8), 2).status == "bounded"
-        assert cell_bounds(P(3, 3, (1, 0)), SuffStats(3, 8), 8).status == "bounded"
+                cell_bounds(3, 3, SuffStats(3, 8), prefix, cell)
+        assert cell_bounds(3, 3, SuffStats(3, 8), (1, 0), 2).status == "bounded"
+        assert cell_bounds(3, 3, SuffStats(3, 8), (1, 0), 8).status == "bounded"
 
     def test_soundness_on_random_3x3_states(self, fibers_3x3):
         rng = np.random.default_rng(5)
@@ -229,7 +224,7 @@ class TestCellBounds:
             k = int(rng.integers(0, 9))
             prefix = tuple(int(v) for v in rng.integers(0, 2, k))
             cell = int(rng.integers(k, 9))
-            got = cell_bounds(P(3, 3, prefix), stats, cell)
+            got = cell_bounds(3, 3, stats, prefix, cell)
             exact = exact_cell_bounds(3, 3, stats, prefix, cell)
             if exact is None:
                 continue  # relaxation may fail to detect emptiness, never the reverse
@@ -240,9 +235,9 @@ class TestCellBounds:
         # conditioning on more cells of a genuine member never widens the bounds
         stats = SuffStats(3, 8)
         for member in list(fiber_members(3, 3, stats))[:5]:
-            prev = cell_bounds(P(3, 3), stats, 8)
+            prev = cell_bounds(3, 3, stats, (), 8)
             for k in range(1, 6):
-                got = cell_bounds(P(3, 3, member.cells[:k]), stats, 8)
+                got = cell_bounds(3, 3, stats, member.cells[:k], 8)
                 assert got.status == "bounded"
                 assert prev.lo <= got.lo and got.hi <= prev.hi
                 prev = got
@@ -308,24 +303,24 @@ class TestStateFeasibility:
             cases += [(rows, cols, *case) for case in seeded_prefixes(rows, cols, 40, rng)]
         feasible = bounded = 0
         for rows, cols, stats, prefix in cases:
-            got = state_lp_feasible(P(rows, cols, prefix), stats)
+            got = state_lp_feasible(rows, cols, stats, prefix)
             assert got == (highs(full_lp(rows, cols, prefix, stats)).status == 0), (stats, prefix)
             feasible += got
             if len(prefix) < rows * cols:
                 cell = int(rng.integers(len(prefix), rows * cols))
                 want = highs_cell_bounds(rows, cols, prefix, stats, cell)
-                assert cell_bounds(P(rows, cols, prefix), stats, cell) == want, (stats, prefix, cell)
+                assert cell_bounds(rows, cols, stats, prefix, cell) == want, (stats, prefix, cell)
                 bounded += want.status == "bounded"
         assert 0 < feasible < len(cases) and bounded > 60
 
     def test_complete_state(self):
-        assert state_lp_feasible(P(2, 2, (1, 0, 0, 1)), SuffStats(2, 4))
-        assert not state_lp_feasible(P(2, 2, (1, 0, 0, 1)), SuffStats(2, 3))
+        assert state_lp_feasible(2, 2, SuffStats(2, 4), (1, 0, 0, 1))
+        assert not state_lp_feasible(2, 2, SuffStats(2, 3), (1, 0, 0, 1))
 
     def test_pin_argument(self):
         # the determined cell's value enters the right-hand side
-        assert state_lp_feasible(P(2, 2, (1,)), SuffStats(4, 0))
-        assert not state_lp_feasible(P(2, 2, (0,)), SuffStats(4, 0))
+        assert state_lp_feasible(2, 2, SuffStats(4, 0), (1,))
+        assert not state_lp_feasible(2, 2, SuffStats(4, 0), (0,))
 
 
 class TestStateTemplate:
@@ -360,9 +355,9 @@ class TestStateTemplate:
     def test_complete_prefix_answers_from_counts(self, solves):
         for cells in ((1, 0, 0, 1), (1, 1, 1, 1), (0, 0, 0, 0)):
             stats = SuffStats.of(BinaryTable(2, 2, cells))
-            assert state_lp_feasible(P(2, 2, cells), stats)
-            assert not state_lp_feasible(P(2, 2, cells), SuffStats(stats.t1, stats.t2 + 1))
-            assert not state_lp_feasible(P(2, 2, cells), SuffStats(stats.t1 + 1, stats.t2))
+            assert state_lp_feasible(2, 2, stats, cells)
+            assert not state_lp_feasible(2, 2, SuffStats(stats.t1, stats.t2 + 1), cells)
+            assert not state_lp_feasible(2, 2, SuffStats(stats.t1 + 1, stats.t2), cells)
         assert not solves
 
 
@@ -385,11 +380,12 @@ class TestStateVerdictsAgainstReferences:
                 for i in rng.integers(0, k, int(rng.integers(0, 3))):
                     prefix[i] ^= 1
                 prefix = tuple(prefix)
-                state = P(rows, cols, prefix)
-                got = state_lp_feasible(state, stats)
+                got = state_lp_feasible(rows, cols, stats, prefix)
                 if any(m[:k] == prefix for m in members):
                     assert got, (stats, prefix)
-                r1, r2 = stats.t1 - sum(prefix), stats.t2 - state.discord
+                edges = topology(rows, cols).edges
+                discord = sum(prefix[a] != prefix[b] for a, b in edges if max(a, b) < k)
+                r1, r2 = stats.t1 - sum(prefix), stats.t2 - discord
                 A_ub, b_ub, n_cells = prefix_rows(rows, cols, prefix)
                 n_edges = A_ub.shape[1] - n_cells
                 if not (0 <= r1 <= n_cells and 0 <= r2 <= n_edges):

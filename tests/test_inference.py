@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isingfiber import inference
-from isingfiber.grid import BinaryTable, SuffStats, u_prime_stat, u_stat
+from isingfiber.grid import BinaryTable, SuffStats, window_stats
 from isingfiber.inference import (
     EmptyFiberSampleError,
     TestReport,
@@ -17,10 +17,11 @@ from isingfiber.inference import (
     ess,
     report_from_batch,
     run_exact_test,
-    window_stats,
 )
 from isingfiber.models import IsingParams, gibbs_ising
 from isingfiber.sampler import SamplerConfig
+
+from conftest import naive_u, naive_u_prime
 
 
 def arrays(*log_q):
@@ -169,8 +170,8 @@ class TestWindowStats:
         cells = (rng.random((200, rows, cols)) < rng.uniform(0.2, 0.8, (200, 1, 1))).astype(np.int8)
         u, uprime = window_stats(cells)
         for x, got_u, got_up in zip(cells, u, uprime):
-            table = BinaryTable(rows, cols, tuple(int(v) for v in x.ravel()))
-            assert (got_u, got_up) == (u_stat(table), u_prime_stat(table))
+            table = x.tolist()
+            assert (got_u, got_up) == (naive_u(table), naive_u_prime(table))
 
     def test_batch_statistics_of_accepted_trials(self):
         # without the endgame screen some trials reject, across three blocks
@@ -181,12 +182,12 @@ class TestWindowStats:
         assert 0 < batch.n_accepted < 600
         assert (batch.stat_u[~batch.accepted] == -1).all()
         assert (batch.stat_uprime[~batch.accepted] == -1).all()
-        # each accepted trial's statistics equal u_stat/u_prime_stat of its table
+        # each accepted trial's statistics equal the naive counts of its table
         uniforms = uniform_rows(3, 16, 0, 600)
         for i in np.flatnonzero(batch.accepted)[::3]:
-            draw = run_trial(4, 4, stats, cfg, uniforms[i])
-            assert batch.stat_u[i] == u_stat(draw.table)
-            assert batch.stat_uprime[i] == u_prime_stat(draw.table)
+            table = run_trial(4, 4, stats, cfg, uniforms[i]).table.to_rows()
+            assert batch.stat_u[i] == naive_u(table)
+            assert batch.stat_uprime[i] == naive_u_prime(table)
 
 
 class TestBatchDriver:

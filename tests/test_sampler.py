@@ -10,7 +10,6 @@ from isingfiber.oracle import fiber_members
 from isingfiber.sampler import (
     Draw,
     OffFiberError,
-    PartialTable,
     SamplerConfig,
     _single_one_feasible,
     replay_log_q,
@@ -18,7 +17,7 @@ from isingfiber.sampler import (
     uniform_rows,
 )
 
-from reference_step import branch_probabilities, reference_trial
+from reference_step import PartialTable, branch_probabilities, reference_trial
 
 CFG = SamplerConfig()
 
@@ -226,13 +225,14 @@ def _reference_grids():
     ]
 
 
-# name: (run_trial's config, whether the reference runs its endgame). "no-lp"
-# is the retired switch that turned the endgame off: endgame_cells=0 leaves
-# only the last cell's lookup, which must decide as the screens do there
+# name: (run_trial's config, whether the reference runs its endgame).
+# "endgame-0-screens" runs the reference's screens on every cell, endgame
+# included: endgame_cells=0 leaves only the last cell's lookup, which must
+# decide as the screens do there
 REFERENCE_CONFIGS = {
     "default": (SamplerConfig(), True),
     "naive": (SamplerConfig(naive_proposal=True), True),
-    "no-lp": (SamplerConfig(endgame_cells=0), False),
+    "endgame-0-screens": (SamplerConfig(endgame_cells=0), False),
     "lp-cells-0": (SamplerConfig(endgame_cells=0), True),
 }
 
