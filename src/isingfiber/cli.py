@@ -188,9 +188,7 @@ def build_parser() -> _Parser:
         type=int,
         default=20,
         help="endgame length: a cell followed by at most this many cells is screened "
-        "exactly, by a table of the achievable remaining budgets (on grids wider than "
-        "10 columns, at most cols - 1 cells: the last row's, whose completion counts "
-        "also weight the branches); 0 turns the endgame off",
+        "exactly, up to the reach endgame.zone gives the shape; 0 turns the endgame off",
     )
     ts.add_argument("--rho-clamp", type=float, default=1e-3)
     ts.add_argument("--naive-proposal", action="store_true")

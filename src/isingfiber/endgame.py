@@ -12,8 +12,9 @@ k - 1 - j): every undetermined cell's up neighbour lies among them, and its
 left neighbour is either the newest of them or undetermined. The table
 depends on the shape and L only, so one cached table serves every test on a
 shape. Its digits are bits, set iff some such completion exists, and its
-words are 64 bits wide, so it exists only where every discord the last L
-cells can carry fits: at most 2L, so any L <= 31.
+words are 64 bits wide, so it covers the last L cells or, where they would
+carry 64 or more edges, the longest suffix that carries fewer: at least 31
+cells, since each cell closes at most 2 edges.
 
 `row_endgame` serves every other grid, over its last min(L, cols - 1) cells.
 They lie in the last row, below determined cells, so w is the left value of
@@ -21,6 +22,9 @@ the first of them. The table depends on the row above, so each trial builds
 its own. Its digits are completion counts, packed in Python ints with no
 width cap: a count above 0 is the narrow table's bit, and two counts give
 the exact branch probability.
+
+`zone` states which table screens how many cells; run_trial reads the rule
+from it and nowhere else.
 """
 
 from __future__ import annotations
@@ -38,18 +42,17 @@ BITS = 64
 
 @lru_cache(maxsize=8)
 def endgame_table(rows: int, cols: int, cells: int) -> tuple | None:
-    """The levels covering the last `cells` raster cells, or None where the
-    table does not apply (cols above MAX_COLS, or a discord budget that does
-    not fit in 64 bits). levels[m] is a (2^cols, m + 1) memoryview of
-    uint64 sets for m <= min(cells, rows * cols). Cached: run_trial asks for
-    it once per trial."""
+    """The levels covering the last `cells` raster cells, trimmed to the
+    longest suffix whose edges number fewer than 64, or None where cols is
+    above MAX_COLS. levels[m] is a (2^cols, m + 1) memoryview of uint64 sets
+    for m below len(levels). Cached: run_trial asks for it once per trial."""
     if cols > MAX_COLS:
         return None
     topo = topology(rows, cols)
     n = topo.n_cells
     first = max(n - cells, 0)
-    if topo.n_edges - topo.determined_edges[first] >= BITS:
-        return None
+    while topo.n_edges - topo.determined_edges[first] >= BITS:
+        first += 1
     size = 1 << cols
     w = np.arange(size, dtype=np.uint64)
     left = w & 1  # cell k - 1
@@ -93,3 +96,16 @@ def row_endgame(ups, ones: int) -> tuple[list[dict], int]:
         levels.append(cur)
         nxt = cur
     return levels, width
+
+
+def zone(rows: int, cols: int, cells: int) -> tuple[int, tuple | None]:
+    """The endgame for a shape and `cells`, the endgame length asked for, as
+    (reach, table): a cell followed by at most reach cells is screened
+    exactly. On grids at most MAX_COLS wide, table is endgame_table's levels
+    and reach len(table) - 1. On every other grid, reach is min(cells,
+    cols - 1) and table is None: each trial builds a row_endgame over those
+    cells."""
+    table = endgame_table(rows, cols, cells)
+    if table is not None:
+        return len(table) - 1, table
+    return min(cells, cols - 1), None

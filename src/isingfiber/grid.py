@@ -117,25 +117,15 @@ class GridTopology:
                 self.edges.append((i * cols + j, (i + 1) * cols + j))
         self.n_edges = len(self.edges)
 
-        self.edge_index: dict[tuple[int, int], int] = {}
-        for e, (a, b) in enumerate(self.edges):
-            self.edge_index[(a, b)] = e
-            self.edge_index[(b, a)] = e
-
-        # unit squares as (top, right, bottom, left) edge indices, a 4-cycle
-        self.squares: list[tuple[int, int, int, int]] = []
-        for i in range(rows - 1):
-            for j in range(cols - 1):
-                tl, tr = i * cols + j, i * cols + j + 1
-                bl, br = (i + 1) * cols + j, (i + 1) * cols + j + 1
-                self.squares.append(
-                    (
-                        self.edge_index[(tl, tr)],
-                        self.edge_index[(tr, br)],
-                        self.edge_index[(bl, br)],
-                        self.edge_index[(tl, bl)],
-                    )
-                )
+        # unit squares as (top, right, bottom, left) edge indices, a 4-cycle:
+        # horizontal (i, j) is edge i*(cols-1) + j, vertical (i, j) is edge
+        # rows*(cols-1) + i*cols + j
+        h, v = cols - 1, rows * (cols - 1)
+        self.squares: list[tuple[int, int, int, int]] = [
+            (i * h + j, v + i * cols + j + 1, (i + 1) * h + j, v + i * cols + j)
+            for i in range(rows - 1)
+            for j in range(cols - 1)
+        ]
 
         # raster-order incremental structure: for cell k, the already-determined
         # neighbors are up/left and the not-yet-determined ones are right/down

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,25 +50,9 @@ class TestReport:
         non-finite float (a fiber-size estimate past the double range)
         becomes None, JSON's null; schema 2 is the first to do so. Schema 3
         drops lp_ratio_threshold from the config echo, schema 4 lp_enabled,
-        and schema 5 renames lp_cell_threshold to endgame_cells."""
-        payload = {
-            "schema": 5,
-            "n_trials": self.n_trials,
-            "n_accepted": self.n_accepted,
-            "delta": self.delta,
-            "p1": self.p1,
-            "p2": self.p2,
-            "cv2": self.cv2,
-            "ess": self.ess,
-            "fiber_size_estimate": self.fiber_size_estimate,
-            "fiber_size_se": self.fiber_size_se,
-            "log_fiber_size_estimate": self.log_fiber_size_estimate,
-            "log_fiber_size_se": self.log_fiber_size_se,
-            "observed_stat": self.observed_stat,
-            "stat_name": self.stat_name,
-            "seed": seed,
-            "config": config,
-        }
+        and schema 5 renames lp_cell_threshold to endgame_cells. The fields
+        come in their declared order."""
+        payload = {"schema": 5, **asdict(self), "seed": seed, "config": config}
         return {
             k: None if isinstance(v, float) and not math.isfinite(v) else v
             for k, v in payload.items()
@@ -76,7 +60,8 @@ class TestReport:
 
 
 # ---------------------------------------------------------------------------
-# weight reductions over the outcome arrays of a batch
+# weight reductions over the outcome arrays of a batch: _shifted_raw computes
+# the shifted raw weights once, and each reduction reads them
 
 
 def _shifted_raw(accepted: np.ndarray, log_q: np.ndarray) -> tuple[np.ndarray, float]:
@@ -91,15 +76,11 @@ def _shifted_raw(accepted: np.ndarray, log_q: np.ndarray) -> tuple[np.ndarray, f
     return out, float(shift)
 
 
-def _weights_arrays(accepted: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-    s, _ = _shifted_raw(accepted, log_q)
-    return s / s.sum()
-
-
 def _pvalues_arrays(
-    accepted: np.ndarray, log_q: np.ndarray, stat_acc: np.ndarray, observed: int
+    s: np.ndarray, accepted: np.ndarray, stat_acc: np.ndarray, observed: int
 ) -> tuple[float, float]:
-    w = _weights_arrays(accepted, log_q)[accepted]
+    """(p1, p2) from the shifted raw weights s, normalized here."""
+    w = (s / s.sum())[accepted]
     above = stat_acc > observed
     # the whole mass is 1 exactly; the normalized weights sum to it only up to rounding
     if above.all():
@@ -112,23 +93,19 @@ def _pvalues_arrays(
     return p1, p2
 
 
-def _cv2_arrays(accepted: np.ndarray, log_q: np.ndarray) -> float:
-    if accepted.size < 2:
+def _cv2_arrays(s: np.ndarray) -> float:
+    if s.size < 2:
         raise ValueError("cv2 needs at least two trials")
-    s, _ = _shifted_raw(accepted, log_q)
     mean = s.mean()
     return float(s.var(ddof=1) / mean**2)
 
 
-def _fiber_size_arrays(
-    accepted: np.ndarray, log_q: np.ndarray
-) -> tuple[float, float, float, float]:
+def _fiber_size_arrays(s: np.ndarray, shift: float) -> tuple[float, float, float, float]:
     """(estimate, se, log estimate, se of the log). The logs are computed from
     the shifted weights, so they stay finite where the estimate overflows."""
-    n = accepted.size
+    n = s.size
     if n < 2:
         raise ValueError("fiber-size estimate needs at least two trials")
-    s, shift = _shifted_raw(accepted, log_q)
     mean = float(s.mean())
     sd = float(s.std(ddof=1))
     log_est = shift + math.log(mean)
@@ -185,7 +162,7 @@ class TrialBatch:
 _SUB_BLOCK = 256
 
 
-def _run_range(rows, cols, stats, config, seed, start, stop, step_cache):
+def _run_range(rows, cols, stats, config, seed, start, stop):
     n_cells = rows * cols
     count = stop - start
     accepted = np.zeros(count, dtype=bool)
@@ -195,6 +172,7 @@ def _run_range(rows, cols, stats, config, seed, start, stop, step_cache):
     stat_up = np.full(count, -1, dtype=np.int32)
     tables = np.empty((_SUB_BLOCK, n_cells), dtype=np.int8)  # a block's accepted tables
     memo = {}  # run_trial's branch-weight terms, shared by the range's trials
+    step_cache = new_step_cache(rows, cols)
     for block in range(start, stop, _SUB_BLOCK):
         block_stop = min(block + _SUB_BLOCK, stop)
         uniforms = uniform_rows(seed, n_cells, block, block_stop - block)
@@ -218,8 +196,7 @@ def _run_range(rows, cols, stats, config, seed, start, stop, step_cache):
 
 
 def _worker(args):
-    rows, cols, stats, config, seed, start, stop = args
-    return _run_range(rows, cols, stats, config, seed, start, stop, new_step_cache(rows, cols))
+    return _run_range(*args)
 
 
 def collect_trials(
@@ -242,8 +219,7 @@ def collect_trials(
         raise ValueError("need at least one trial")
     stats.validate_for(rows, cols)
     if workers <= 1:
-        step_cache = new_step_cache(rows, cols)
-        parts = [_run_range(rows, cols, stats, config, seed, 0, n_trials, step_cache)]
+        parts = [_run_range(rows, cols, stats, config, seed, 0, n_trials)]
     else:
         chunk = max(1, -(-n_trials // (workers * 4)))
         jobs = [
@@ -263,13 +239,10 @@ def collect_trials(
 def report_from_batch(batch: TrialBatch, stat_name: str, observed: int) -> TestReport:
     """Assemble the full diagnostic report; raises EmptyFiberSampleError when
     no trial was accepted."""
-    if batch.n_accepted == 0:
-        raise EmptyFiberSampleError("empty fiber sample")
-    p1, p2 = _pvalues_arrays(
-        batch.accepted, batch.log_q, batch.stat_for_accepted(stat_name), observed
-    )
-    c2 = _cv2_arrays(batch.accepted, batch.log_q)
-    size_est, size_se, log_size, log_size_se = _fiber_size_arrays(batch.accepted, batch.log_q)
+    s, shift = _shifted_raw(batch.accepted, batch.log_q)
+    p1, p2 = _pvalues_arrays(s, batch.accepted, batch.stat_for_accepted(stat_name), observed)
+    c2 = _cv2_arrays(s)
+    size_est, size_se, log_size, log_size_se = _fiber_size_arrays(s, shift)
     n = batch.n_trials
     return TestReport(
         n_trials=n,

@@ -16,12 +16,12 @@ which reads the trial's frontier and discord, is computed at each step. The
 memo holds the same floats the inline expressions gave, so it does not
 change a bit.
 
-The screens depend on the cell's place (see run_trial). In the endgame, one
-lookup in an exact table of endgame.py decides each value: it passes iff
-some completion meets the remaining budget, and on wide grids the same
-lookup gives the number of such completions. Before it the screens are
-counting, a discord-budget window, toggle capacity and the exact single-one
-check.
+The screens depend on the cell's place (see run_trial). In the endgame,
+whose cells endgame.zone gives, one lookup in an exact table of endgame.py
+decides each value: it passes iff some completion meets the remaining
+budget, and on wide grids the same lookup gives the number of such
+completions. Before it the screens are counting, a discord-budget window,
+toggle capacity and the exact single-one check.
 
 All screens are sound (they never exclude a value that still admits a fiber
 completion), which makes the proposal strictly positive on the whole fiber;
@@ -42,7 +42,7 @@ import numpy as np
 
 # not called here: bench/tracer.py wraps this attribute
 from .cutlp import state_lp_feasible  # noqa: F401
-from .endgame import endgame_table, row_endgame
+from .endgame import row_endgame, zone
 from .grid import BinaryTable, SuffStats, topology
 
 # Gaussian branch-weight shape: on large grids the variance of the
@@ -81,10 +81,6 @@ def _branch_terms(r1: int, rc_after: int, eff1: int, fro1: int, scale: float) ->
     mu = r1 / (rc_after + 1)
     return _TERMS.pack(*terms, log(mu), log(1.0 - mu))
 
-
-# exact placement search for the last remaining one is linear in the free
-# cells, so it is capped; beyond the cap the other screens stand alone
-EXACT_ONE_LIMIT = 128
 
 STEP_CACHE_CELL_LIMIT = 25
 
@@ -174,12 +170,10 @@ def run_trial(
     At each raster cell the screens run for value 0, then for value 1. In the
     endgame one lookup per value is the whole screen: the value passes iff
     some completion places exactly the r1' remaining ones and r2' remaining
-    discordant edges. The endgame is the last endgame_cells cells where
-    the cached endgame_table exists for the shape (cols <= endgame.MAX_COLS,
-    and the last endgame_cells cells carry fewer than 64 edges), and the
-    last min(endgame_cells, cols - 1) cells elsewhere, with a row_endgame
-    table of completion counts built at the first endgame cell for the ones
-    still to place.
+    discordant edges. endgame.zone(rows, cols, endgame_cells) gives the
+    endgame and its table; where it gives none, a row_endgame table of
+    completion counts is built at the first endgame cell for the ones still
+    to place.
     Before it the screens are counting (the ones still to place fit in the
     cells after it), the discord budget (the remaining discord r2' is
     nonnegative and fits in the edges not yet determined), toggle capacity
@@ -212,16 +206,11 @@ def run_trial(
     topo = topology(rows, cols)
     capacity = topo.toggle_capacity
     naive = config.naive_proposal
-    exact = None if naive else endgame_table(rows, cols, config.endgame_cells)
     # the endgame runs where rc_after <= exact_cells: nowhere in naive mode. A
     # row table reads only the left value, so its frontier mask is 0; its
     # digits are counts, width bits each, set where it is built
-    if exact is not None:
-        exact_cells, wmask = config.endgame_cells, (1 << cols) - 1
-    elif not naive:
-        exact_cells, wmask = min(config.endgame_cells, cols - 1), 0
-    else:
-        exact_cells, wmask = -1, 0
+    exact_cells, exact = (-1, None) if naive else zone(rows, cols, config.endgame_cells)
+    wmask = 0 if exact is None else (1 << cols) - 1
     width = digit = 1
     track = step_cache is not None or exact is not None  # whether key is kept
     eps = config.rho_clamp
@@ -287,7 +276,7 @@ def run_trial(
                     diff = abs(r2p0 - f1a0)
                     if diff > r1 and diff > (4 * r1 if r1 <= deg4 else capacity(idx + 1, r1)):
                         ok0 = False
-                    elif r1 == 1 and rc_after <= EXACT_ONE_LIMIT:
+                    elif r1 == 1:
                         ok0 = _single_one_feasible(topo, cells, idx, 0, f1a0, r2p0)
                     else:
                         ok0 = True
@@ -302,7 +291,7 @@ def run_trial(
                     diff = abs(r2p1 - f1a1)
                     if diff > r1p and diff > (4 * r1p if r1p <= deg4 else capacity(idx + 1, r1p)):
                         ok1 = False
-                    elif r1p == 1 and rc_after <= EXACT_ONE_LIMIT:
+                    elif r1p == 1:
                         ok1 = _single_one_feasible(topo, cells, idx, 1, f1a1, r2p1)
                     else:
                         ok1 = True

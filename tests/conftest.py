@@ -89,3 +89,32 @@ def row_tables(monkeypatch):
     build = sampler.row_endgame
     monkeypatch.setattr(sampler, "row_endgame", lambda *args: builds.append(args) or build(*args))
     return builds
+
+
+class _CountedLevel:
+    """An endgame level that records each lookup."""
+
+    def __init__(self, level, lookups):
+        self.level, self.lookups = level, lookups
+
+    def __getitem__(self, index):
+        self.lookups.append(index)
+        return self.level[index]
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """Every lookup run_trial makes in a narrow endgame table."""
+    import isingfiber.sampler as sampler
+
+    made = []
+    zone = sampler.zone
+
+    def counted(*args):
+        reach, levels = zone(*args)
+        if levels is None:
+            return reach, None
+        return reach, tuple(_CountedLevel(level, made) for level in levels)
+
+    monkeypatch.setattr(sampler, "zone", counted)
+    return made

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, log
 
-from isingfiber.endgame import endgame_table
+from isingfiber.endgame import zone
 from isingfiber.grid import BinaryTable, topology
-from isingfiber.sampler import EXACT_ONE_LIMIT, VAR_FLOOR, Draw, _var_scale
+from isingfiber.sampler import VAR_FLOOR, Draw, _var_scale
 
 UNKNOWN = -1
 
@@ -146,24 +146,20 @@ def frontier_of(cells, cols, k):
 
 
 def endgame_length(rows, cols, config):
-    """How many cells follow the first endgame cell of run_trial, or -1
-    where it has no endgame: the last endgame_cells cells under the narrow
-    table, else the last row's last min(endgame_cells, cols - 1)."""
+    """How many cells follow the first endgame cell of run_trial (the reach
+    of endgame.zone), or -1 where it has no endgame."""
     if config.naive_proposal:
         return -1
-    if endgame_table(rows, cols, config.endgame_cells) is not None:
-        return config.endgame_cells
-    return min(config.endgame_cells, cols - 1)
+    return zone(rows, cols, config.endgame_cells)[0]
 
 
 def in_row_zone(rows, cols, config, idx):
     """Whether cell idx lies in the endgame of a grid without the narrow
     table, where P[1] comes from completion counts."""
-    return (
-        not config.naive_proposal
-        and endgame_table(rows, cols, config.endgame_cells) is None
-        and rows * cols - idx - 1 <= endgame_length(rows, cols, config)
-    )
+    if config.naive_proposal:
+        return False
+    reach, table = zone(rows, cols, config.endgame_cells)
+    return table is None and rows * cols - idx - 1 <= reach
 
 
 def completions_after(state, stats, v):
@@ -202,7 +198,7 @@ def feasible_values(state, stats, config, endgame=True):
             diff = abs(r2p - f1_after)
             if diff > r1p and diff > topo.toggle_capacity(idx + 1, r1p):
                 continue
-            if r1p == 1 and rc_after <= EXACT_ONE_LIMIT:
+            if r1p == 1:
                 if not single_one_feasible(topo, state.cells, idx, v, f1_after, r2p):
                     continue
         out.append(v)

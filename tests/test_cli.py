@@ -284,9 +284,9 @@ class TestJsonOutput:
         ids=["1x30", "10x10-endgame-cells-40"],
     )
     def test_row_endgame_shapes_end_in_a_report(self, capsys, tmp_path, rows, cols, extra):
-        # neither shape has the narrow endgame table (30 columns; the last
-        # 40 cells of 10x10 carry more than 64 edges), so the last row's
-        # exact table screens their endgame
+        # 1x30 has no narrow endgame table (30 columns), so the last row's
+        # exact table screens its endgame; on 10x10 the narrow table trims
+        # 40 cells to the 33 whose edges fit in a 64-bit word
         rng = np.random.default_rng(rows * cols)
         cells = (rng.random(rows * cols) < 0.3).astype(int).tolist()
         path = tmp_path / "t.txt"

@@ -110,10 +110,10 @@ class TestSuspensionIndex:
             assert suspension_semimetric(table).shape == (n_vars,)
 
     def test_edge_var_lookup(self):
-        # the grid edge (a, b) is coordinate mn + edge_index[(a, b)], either orientation
+        # the e-th grid edge (a, b) is coordinate mn + e
         topo = topology(2, 2)
         vec = suspension_semimetric(BinaryTable(2, 2, (1, 0, 0, 0)))
-        for (a, b), e in topo.edge_index.items():
+        for e, (a, b) in enumerate(topo.edges):
             assert vec[4 + e] == (0 in (a, b))
 
 

@@ -6,9 +6,10 @@ from itertools import groupby, product
 import numpy as np
 import pytest
 
-from isingfiber.endgame import MAX_COLS, endgame_table, row_endgame
+from isingfiber.endgame import MAX_COLS, endgame_table, row_endgame, zone
 from isingfiber.grid import BinaryTable, SuffStats, t1, t2, topology
 from isingfiber.inference import collect_trials, report_from_batch
+from isingfiber.models import IsingParams, gibbs_ising
 from isingfiber.oracle import enumerate_fiber
 from isingfiber.sampler import SamplerConfig, replay_log_q, run_trial, uniform_rows
 
@@ -83,12 +84,42 @@ class TestTableVerdicts:
         assert seen[True] > 100 and seen[False] > 100
 
     def test_width_and_bit_caps(self):
-        assert endgame_table(10, 10, 20) is not None
+        assert len(endgame_table(10, 10, 20)) == 21
         assert endgame_table(2, MAX_COLS + 2, 20) is None
-        # the last 40 cells of a 10x10 grid carry up to 76 discordant edges
-        assert endgame_table(10, 10, 40) is None
+        # the last 40 cells of a 10x10 grid carry 76 edges, more than a
+        # 64-bit word holds: the table trims to the last 33, which carry 63
+        topo = topology(10, 10)
+        assert topo.n_edges - topo.determined_edges[100 - 40] == 76
+        assert topo.n_edges - topo.determined_edges[100 - 33] == 63
+        assert len(endgame_table(10, 10, 40)) == 34
         # a single column carries one edge per cell: 40 cells fit
-        assert endgame_table(40, 1, 40) is not None
+        assert len(endgame_table(40, 1, 40)) == 41
+
+
+class TestZone:
+    def test_reach_never_falls_as_the_length_rises(self):
+        # on 10x10 the narrow table covers the last L cells up to its 64-bit
+        # reach, 33 cells, and past it stays there
+        reaches = [zone(10, 10, cells)[0] for cells in range(61)]
+        assert reaches == [min(cells, 33) for cells in range(61)]
+        assert all(zone(10, 10, cells)[1] is not None for cells in (0, 33, 40, 60))
+        assert zone(2, MAX_COLS + 2, 40) == (MAX_COLS + 1, None)
+
+    def test_trimmed_table_runs_at_40_cells(self, lp_calls, row_tables, lookups):
+        # --endgame-cells 40 on 10x10 screens the last 33 cells with the
+        # narrow table, builds no row table, and equals the reference
+        config = SamplerConfig(endgame_cells=40)
+        table = gibbs_ising(IsingParams(-2.0, 0.1), 10, 10, rng=np.random.default_rng((99, 0)))
+        stats = SuffStats.of(table)
+        accepted = 0
+        for u in uniform_rows(1040, 100, 0, 40):
+            draw = run_trial(10, 10, stats, config, u)
+            expected = reference_trial(10, 10, stats, config, u)
+            assert draw == expected
+            if draw.accepted:
+                accepted += 1
+                assert draw.log_q.hex() == expected.log_q.hex()
+        assert accepted and lookups and not row_tables and not lp_calls
 
 
 class TestAboveTheCap:

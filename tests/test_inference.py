@@ -12,7 +12,7 @@ from isingfiber.inference import (
     _cv2_arrays,
     _fiber_size_arrays,
     _pvalues_arrays,
-    _weights_arrays,
+    _shifted_raw,
     collect_trials,
     ess,
     report_from_batch,
@@ -30,34 +30,55 @@ def arrays(*log_q):
     return accepted, np.array([np.nan if v is None else v for v in log_q])
 
 
+def shifted(*log_q):
+    """_shifted_raw's (shifted raw weights, shift) of the outcome arrays."""
+    return _shifted_raw(*arrays(*log_q))
+
+
+def weights(*log_q):
+    """The standardized weights: the shifted raw weights over their sum."""
+    s, _ = shifted(*log_q)
+    return s / s.sum()
+
+
 def pvalues(log_q, stat_values, observed):
-    return _pvalues_arrays(*arrays(*log_q), np.asarray(stat_values), observed)
+    accepted, log_q = arrays(*log_q)
+    s, _ = _shifted_raw(accepted, log_q)
+    return _pvalues_arrays(s, accepted, np.asarray(stat_values), observed)
+
+
+def cv2(*log_q):
+    return _cv2_arrays(shifted(*log_q)[0])
+
+
+def fiber_size(*log_q):
+    return _fiber_size_arrays(*shifted(*log_q))
 
 
 class TestStandardizedWeights:
     def test_equal_weights(self):
-        w = _weights_arrays(*arrays(0.0, 0.0))
+        w = weights(0.0, 0.0)
         assert np.array_equal(w, [0.5, 0.5])
 
     def test_rejection_gets_zero(self):
-        w = _weights_arrays(*arrays(0.0, None, 0.0))
+        w = weights(0.0, None, 0.0)
         assert np.array_equal(w, [0.5, 0.0, 0.5])
 
     def test_unequal_weights(self):
-        w = _weights_arrays(*arrays(math.log(0.25), math.log(0.5)))
+        w = weights(math.log(0.25), math.log(0.5))
         assert w[0] == pytest.approx(2 / 3)
         assert w[1] == pytest.approx(1 / 3)
 
     def test_empty_sample(self):
         with pytest.raises(EmptyFiberSampleError, match="empty fiber sample"):
-            _weights_arrays(*arrays(None, None))
+            weights(None, None)
 
     def test_sum_to_one(self):
         rng = np.random.default_rng(0)
         log_q = [float(-rng.exponential(5)) if rng.random() < 0.7 else None for _ in range(500)]
         if all(v is None for v in log_q):
             log_q.append(-1.0)
-        assert _weights_arrays(*arrays(*log_q)).sum() == pytest.approx(1.0)
+        assert weights(*log_q).sum() == pytest.approx(1.0)
 
 
 class TestPvalues:
@@ -75,7 +96,7 @@ class TestPvalues:
         rng = np.random.default_rng(1)
         log_q = [float(-rng.exponential()) for _ in range(200)]
         stats = rng.integers(0, 4, 200)
-        w = _weights_arrays(*arrays(*log_q))
+        w = weights(*log_q)
         p1, p2 = pvalues(log_q, stats, 2)
         assert p1 <= p2
         assert p2 - p1 == pytest.approx(float(w[stats == 2].sum()), abs=1e-12)
@@ -101,15 +122,15 @@ class TestPvalues:
 
 class TestCv2AndEss:
     def test_constant_weights(self):
-        assert _cv2_arrays(*arrays(*[math.log(0.5)] * 4)) == pytest.approx(0.0)
+        assert cv2(*[math.log(0.5)] * 4) == pytest.approx(0.0)
 
     def test_one_three_example(self):
         # raw weights (1, 3): mean 2, sample variance 2, cv2 = 0.5
-        assert _cv2_arrays(*arrays(0.0, math.log(1 / 3))) == pytest.approx(0.5)
+        assert cv2(0.0, math.log(1 / 3)) == pytest.approx(0.5)
 
     def test_all_zero_error(self):
         with pytest.raises(EmptyFiberSampleError):
-            _cv2_arrays(*arrays(None, None))
+            cv2(None, None)
 
     def test_ess_examples(self):
         assert ess(5000, 0.0) == 5000.0
@@ -128,21 +149,21 @@ class TestCv2AndEss:
 
 class TestFiberSize:
     def test_constant_quarter_proposal(self):
-        est, se, _, _ = _fiber_size_arrays(*arrays(*[math.log(0.25)] * 8))
+        est, se, _, _ = fiber_size(*[math.log(0.25)] * 8)
         assert est == pytest.approx(4.0)
         assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_all_rejected(self):
         with pytest.raises(EmptyFiberSampleError):
-            _fiber_size_arrays(*arrays(None, None))
+            fiber_size(None, None)
 
     def test_mix(self):
-        est, se, _, _ = _fiber_size_arrays(*arrays(math.log(0.5), None))
+        est, se, _, _ = fiber_size(math.log(0.5), None)
         assert est == pytest.approx(1.0)  # mean of (2, 0)
         assert se == pytest.approx(np.std([2.0, 0.0], ddof=1) / math.sqrt(2))
 
     def test_huge_logq_does_not_overflow(self):
-        est, se, _, _ = _fiber_size_arrays(*arrays(-800.0, -800.0))
+        est, se, _, _ = fiber_size(-800.0, -800.0)
         assert est == math.inf
         assert se == 0.0
 
@@ -153,12 +174,11 @@ class TestLogSpaceSafety:
         # unchanged up to floating rounding of the shifted inputs
         rng = np.random.default_rng(2)
         logqs = [float(-rng.exponential(3)) for _ in range(100)]
-        draws = arrays(*logqs)
-        shifted = arrays(*[lq - 250.0 for lq in logqs])
-        assert np.allclose(_weights_arrays(*draws), _weights_arrays(*shifted), rtol=1e-12, atol=0)
-        assert _cv2_arrays(*draws) == pytest.approx(_cv2_arrays(*shifted), rel=1e-10)
+        shifted_logqs = [lq - 250.0 for lq in logqs]
+        assert np.allclose(weights(*logqs), weights(*shifted_logqs), rtol=1e-12, atol=0)
+        assert cv2(*logqs) == pytest.approx(cv2(*shifted_logqs), rel=1e-10)
         p = pvalues(logqs, range(100), 50)
-        ps = pvalues([lq - 250.0 for lq in logqs], range(100), 50)
+        ps = pvalues(shifted_logqs, range(100), 50)
         assert p[0] == pytest.approx(ps[0], rel=1e-10)
         assert p[1] == pytest.approx(ps[1], rel=1e-10)
 
@@ -308,7 +328,8 @@ class TestBatchDriver:
         payload = report.json_payload(seed=9, config={"rows": 2})
         assert payload["schema"] == 5
         assert payload["seed"] == 9
-        assert set(payload) == {
+        # the keys, in the order the JSON report writes them
+        assert list(payload) == [
             "schema",
             "n_trials",
             "n_accepted",
@@ -325,4 +346,4 @@ class TestBatchDriver:
             "stat_name",
             "seed",
             "config",
-        }
+        ]

@@ -237,44 +237,14 @@ REFERENCE_CONFIGS = {
 }
 
 
-class _CountedLevel:
-    """An endgame level that records each lookup."""
-
-    def __init__(self, level, lookups):
-        self.level, self.lookups = level, lookups
-
-    def __getitem__(self, index):
-        self.lookups.append(index)
-        return self.level[index]
-
-
-def count_endgame_lookups(monkeypatch):
-    """Route run_trial's endgame tables through _CountedLevel; returns the
-    list the lookups go to."""
-    import isingfiber.sampler as sampler
-
-    lookups = []
-    table_of = sampler.endgame_table
-
-    def counted(*args):
-        levels = table_of(*args)
-        if levels is None:
-            return None
-        return tuple(None if lv is None else _CountedLevel(lv, lookups) for lv in levels)
-
-    monkeypatch.setattr(sampler, "endgame_table", counted)
-    return lookups
-
-
 class TestReferenceStep:
     @pytest.mark.parametrize("config_name", sorted(REFERENCE_CONFIGS))
     @pytest.mark.parametrize("rows, cols, stats, trials, cached", _reference_grids())
     def test_run_trial_equals_reference(
-        self, rows, cols, stats, trials, cached, config_name, monkeypatch, lp_calls, row_tables
+        self, rows, cols, stats, trials, cached, config_name, lp_calls, row_tables, lookups
     ):
         # run_trial, with its caches, equals the plain per-cell loop Draw for
         # Draw; log_q is compared bit for bit
-        lookups = count_endgame_lookups(monkeypatch)
         config, endgame = REFERENCE_CONFIGS[config_name]
         uniforms = uniform_rows(rows * cols + trials, rows * cols, 0, trials)
         step_cache = {} if cached else None
@@ -404,6 +374,33 @@ class TestSingleOne:
                             assert got == expected, (idx, v, f1_after, r2p)
                             seen.add(expected)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("stats", [SuffStats(2, 3), SuffStats(2, 4)])
+    def test_check_runs_with_more_than_128_cells_after(self, stats, monkeypatch):
+        # on 3x60 with two ones, the check for the last one runs at cells
+        # that more than 128 cells follow, passes and fails there, and
+        # run_trial equals the reference, which scans every free cell
+        import isingfiber.sampler as sampler
+
+        far = set()  # the check's verdicts where more than 128 cells follow
+        check = sampler._single_one_feasible
+
+        def recorded(topo, cells, idx, *args):
+            ok = check(topo, cells, idx, *args)
+            if topo.n_cells - idx - 1 > 128:
+                far.add(ok)
+            return ok
+
+        monkeypatch.setattr(sampler, "_single_one_feasible", recorded)
+        accepted = 0
+        for u in uniform_rows(60 + stats.t2, 180, 0, 30):
+            draw = run_trial(3, 60, stats, CFG, u)
+            expected = reference_trial(3, 60, stats, CFG, u)
+            assert draw == expected
+            if draw.accepted:
+                accepted += 1
+                assert draw.log_q.hex() == expected.log_q.hex()
+        assert accepted and far == {True, False}
 
 
 class TestSupport:
