@@ -12,6 +12,7 @@ import dataclasses
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -49,7 +50,7 @@ def _emit_json(payload: dict) -> None:
 
 
 def _read_table(path: str) -> BinaryTable:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     return parse_table(text)
 
 
@@ -95,11 +96,7 @@ def cmd_stats(args) -> int:
 
 def cmd_test(args) -> int:
     table = _read_table(args.table)
-    config = SamplerConfig(
-        endgame_cells=args.endgame_cells,
-        rho_clamp=args.rho_clamp,
-        naive_proposal=args.naive_proposal,
-    )
+    config = SamplerConfig(endgame_cells=args.endgame_cells)
     start = time.monotonic()
     report = run_exact_test(
         table,
@@ -190,8 +187,6 @@ def build_parser() -> _Parser:
         help="endgame length: a cell followed by at most this many cells is screened "
         "exactly, up to the reach endgame.zone gives the shape; 0 turns the endgame off",
     )
-    ts.add_argument("--rho-clamp", type=float, default=1e-3)
-    ts.add_argument("--naive-proposal", action="store_true")
     ts.add_argument("--t1", type=int, default=None, help="override the conditioning t1")
     ts.add_argument("--t2", type=int, default=None, help="override the conditioning t2")
     ts.set_defaults(func=cmd_test)

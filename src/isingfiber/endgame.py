@@ -9,12 +9,13 @@ place r1 ones and add r2 discordant edges.
 recursion over the last L raster cells. A completion's discord depends on the
 prefix only through its last `cols` values, the frontier w (bit j holds cell
 k - 1 - j): every undetermined cell's up neighbour lies among them, and its
-left neighbour is either the newest of them or undetermined. The table
-depends on the shape and L only, so one cached table serves every test on a
-shape. Its digits are bits, set iff some such completion exists, and its
-words are 64 bits wide, so it covers the last L cells or, where they would
-carry 64 or more edges, the longest suffix that carries fewer: at least 31
-cells, since each cell closes at most 2 edges.
+left neighbour is either the newest of them or undetermined. Its digits are
+bits, set iff some such completion exists, and its words are 64 bits wide,
+so it covers the last L cells or, where they would carry 64 or more edges,
+the longest suffix that carries fewer: at least 31 cells, since each cell
+closes at most 2 edges. The table depends on the shape and the first cell it
+covers only, so one cached table serves every test on a shape and every L
+that trims to the same cell.
 
 `row_endgame` serves every other grid, over its last min(L, cols - 1) cells.
 They lie in the last row, below determined cells, so w is the left value of
@@ -40,19 +41,26 @@ MAX_COLS = 10  # 1,024 frontier values; the 10x10 table at L = 20 takes 1.9 MB
 BITS = 64
 
 
-@lru_cache(maxsize=8)
 def endgame_table(rows: int, cols: int, cells: int) -> tuple | None:
     """The levels covering the last `cells` raster cells, trimmed to the
     longest suffix whose edges number fewer than 64, or None where cols is
     above MAX_COLS. levels[m] is a (2^cols, m + 1) memoryview of uint64 sets
-    for m below len(levels). Cached: run_trial asks for it once per trial."""
+    for m below len(levels). Every length that trims to the same first cell
+    gets the same cached levels."""
     if cols > MAX_COLS:
         return None
     topo = topology(rows, cols)
-    n = topo.n_cells
-    first = max(n - cells, 0)
+    first = max(topo.n_cells - cells, 0)
     while topo.n_edges - topo.determined_edges[first] >= BITS:
         first += 1
+    return _levels(rows, cols, first)
+
+
+@lru_cache(maxsize=8)
+def _levels(rows: int, cols: int, first: int) -> tuple:
+    """endgame_table's levels from the last cell back to cell `first`."""
+    topo = topology(rows, cols)
+    n = topo.n_cells
     size = 1 << cols
     w = np.arange(size, dtype=np.uint64)
     left = w & 1  # cell k - 1
@@ -98,13 +106,14 @@ def row_endgame(ups, ones: int) -> tuple[list[dict], int]:
     return levels, width
 
 
+@lru_cache(maxsize=8)
 def zone(rows: int, cols: int, cells: int) -> tuple[int, tuple | None]:
     """The endgame for a shape and `cells`, the endgame length asked for, as
     (reach, table): a cell followed by at most reach cells is screened
     exactly. On grids at most MAX_COLS wide, table is endgame_table's levels
     and reach len(table) - 1. On every other grid, reach is min(cells,
     cols - 1) and table is None: each trial builds a row_endgame over those
-    cells."""
+    cells. Cached: run_trial asks for it once per trial."""
     table = endgame_table(rows, cols, cells)
     if table is not None:
         return len(table) - 1, table

@@ -50,9 +50,10 @@ class TestReport:
         non-finite float (a fiber-size estimate past the double range)
         becomes None, JSON's null; schema 2 is the first to do so. Schema 3
         drops lp_ratio_threshold from the config echo, schema 4 lp_enabled,
-        and schema 5 renames lp_cell_threshold to endgame_cells. The fields
-        come in their declared order."""
-        payload = {"schema": 5, **asdict(self), "seed": seed, "config": config}
+        schema 5 renames lp_cell_threshold to endgame_cells, and schema 6
+        keeps endgame_cells alone of the sampler's options. The fields come
+        in their declared order."""
+        payload = {"schema": 6, **asdict(self), "seed": seed, "config": config}
         return {
             k: None if isinstance(v, float) and not math.isfinite(v) else v
             for k, v in payload.items()

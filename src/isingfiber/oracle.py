@@ -17,12 +17,12 @@ import numpy as np
 
 from .grid import BinaryTable, SuffStats, check_prefix, topology, window_stats
 
-DEFAULT_CELL_CAP = 25
+CELL_CAP = 25
 _CHUNK = 65536
 
 
 class CapExceededError(ValueError):
-    """Raised when an enumeration request is larger than the configured cap."""
+    """Raised when an enumeration request has more than CELL_CAP cells."""
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,10 @@ class FiberSummary:
     stat_histogram: dict[int, int]
 
 
-def _check_cap(rows: int, cols: int, cap: int) -> None:
-    if rows * cols > cap:
+def _check_cap(rows: int, cols: int) -> None:
+    if rows * cols > CELL_CAP:
         raise CapExceededError(
-            f"grid has {rows * cols} cells, enumeration is capped at {cap}"
+            f"grid has {rows * cols} cells, enumeration is capped at {CELL_CAP}"
         )
 
 
@@ -70,24 +70,18 @@ def _members(rows: int, cols: int, stats: SuffStats, prefix) -> Iterator[np.ndar
             yield x
 
 
-def fiber_members(rows: int, cols: int, stats: SuffStats, cap: int = DEFAULT_CELL_CAP) -> Iterator[BinaryTable]:
+def fiber_members(rows: int, cols: int, stats: SuffStats) -> Iterator[BinaryTable]:
     """Yield every table in the fiber, in lexicographic order of one-positions."""
-    _check_cap(rows, cols, cap)
+    _check_cap(rows, cols)
     stats.validate_for(rows, cols)
     for x in _members(rows, cols, stats, ()):
         for cells in x.tolist():
             yield BinaryTable(rows, cols, tuple(cells))
 
 
-def enumerate_fiber(
-    rows: int,
-    cols: int,
-    stats: SuffStats,
-    stat_name: str = "u",
-    cap: int = DEFAULT_CELL_CAP,
-) -> FiberSummary:
+def enumerate_fiber(rows: int, cols: int, stats: SuffStats, stat_name: str = "u") -> FiberSummary:
     """Exhaustively count the fiber and histogram the chosen statistic over it."""
-    _check_cap(rows, cols, cap)
+    _check_cap(rows, cols)
     stats.validate_for(rows, cols)
     which = {"u": 0, "uprime": 1}[stat_name]  # the statistic's place in window_stats
     histogram = Counter()
@@ -106,14 +100,14 @@ def exact_pvalues(summary: FiberSummary, observed: int) -> tuple[float, float]:
     return gt / summary.size, ge / summary.size
 
 
-def exact_cell_bounds(rows, cols, stats, prefix, cell, cap: int = DEFAULT_CELL_CAP):
+def exact_cell_bounds(rows, cols, stats, prefix, cell):
     """Min/max value of `cell` over all fiber completions of a raster prefix.
 
     `prefix` is the sequence of already-determined leading cell values, and
     `cell` must be a cell after it (see grid.check_prefix). Returns (lo, hi)
     or None when no completion exists.
     """
-    _check_cap(rows, cols, cap)
+    _check_cap(rows, cols)
     check_prefix(rows, cols, prefix, cell)
     lo, hi = 1, 0
     for x in _members(rows, cols, stats, prefix):
@@ -123,9 +117,9 @@ def exact_cell_bounds(rows, cols, stats, prefix, cell, cap: int = DEFAULT_CELL_C
     return None if lo > hi else (lo, hi)
 
 
-def nonempty_fibers(rows: int, cols: int, cap: int = DEFAULT_CELL_CAP) -> dict[SuffStats, int]:
+def nonempty_fibers(rows: int, cols: int) -> dict[SuffStats, int]:
     """Map every realizable (t1, t2) on the grid to its fiber size, via one full scan."""
-    _check_cap(rows, cols, cap)
+    _check_cap(rows, cols)
     topo = topology(rows, cols)
     n = topo.n_cells
     ea = np.fromiter((a for a, _ in topo.edges), dtype=np.intp)

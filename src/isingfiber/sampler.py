@@ -83,19 +83,16 @@ def _branch_terms(r1: int, rc_after: int, eff1: int, fro1: int, scale: float) ->
 
 
 STEP_CACHE_CELL_LIMIT = 25
+RHO_CLAMP = 1e-3  # floor on branch probabilities; keeps q > 0 on the fiber
 
 
 @dataclass
 class SamplerConfig:
     endgame_cells: int = 20
-    rho_clamp: float = 1e-3  # floor on branch probabilities; keeps q > 0 on the fiber
-    naive_proposal: bool = False
 
     def __post_init__(self):
         if self.endgame_cells < 0:
             raise ValueError("endgame_cells must be nonnegative")
-        if not 0.0 < self.rho_clamp < 0.5:
-            raise ValueError(f"rho_clamp must be in (0, 0.5), got {self.rho_clamp}")
 
 
 @dataclass(frozen=True)
@@ -181,14 +178,14 @@ def run_trial(
     completion would add, by at most what the r1' remaining ones can flip:
     the sum of the r1' largest free degrees), then the exact single-one check
     (r1' = 1). endgame_cells=0 leaves the last cell alone in the endgame,
-    where it decides as those screens would. Naive mode keeps only counting.
+    where it decides as those screens would.
     When both values pass, value 1 is taken iff the cell's uniform is below
     P[1], and the taken branch's probability enters log_q; a single feasible
     value is a forced move. P[1] is the Gaussian branch weight, except in a
     row table's zone, where it is N1 / (N0 + N1) for the counts N0 and N1 of
     the completions each value leaves: there a trial is uniform over the
-    completions of the state it enters the zone with, wherever rho_clamp
-    does not bind. Both are clamped to [rho_clamp, 1 - rho_clamp].
+    completions of the state it enters the zone with, wherever RHO_CLAMP
+    does not bind. Both are clamped to [RHO_CLAMP, 1 - RHO_CLAMP].
 
     memo keeps the terms of the Gaussian branch weights that depend only on
     the cell and the ones still to place (see _branch_terms), so trials that
@@ -205,15 +202,14 @@ def run_trial(
     """
     topo = topology(rows, cols)
     capacity = topo.toggle_capacity
-    naive = config.naive_proposal
-    # the endgame runs where rc_after <= exact_cells: nowhere in naive mode. A
-    # row table reads only the left value, so its frontier mask is 0; its
-    # digits are counts, width bits each, set where it is built
-    exact_cells, exact = (-1, None) if naive else zone(rows, cols, config.endgame_cells)
+    # the endgame runs where rc_after <= exact_cells. A row table reads only
+    # the left value, so its frontier mask is 0; its digits are counts, width
+    # bits each, set where it is built
+    exact_cells, exact = zone(rows, cols, config.endgame_cells)
     wmask = 0 if exact is None else (1 << cols) - 1
     width = digit = 1
     track = step_cache is not None or exact is not None  # whether key is kept
-    eps = config.rho_clamp
+    eps = RHO_CLAMP
     one_minus_eps = 1.0 - eps
     scale = _var_scale(topo.n_edges)
     # the memo's entry for the shape: per cell, a dict from r1 to packed terms
@@ -266,11 +262,7 @@ def run_trial(
                 )
             else:
                 # value 0: r1' = r1
-                if r1 > rc_after:
-                    ok0 = False
-                elif naive:
-                    ok0 = True
-                elif r2p0 < 0 or r2p0 > open_after:
+                if r1 > rc_after or r2p0 < 0 or r2p0 > open_after:
                     ok0 = False
                 else:
                     diff = abs(r2p0 - f1a0)
@@ -281,11 +273,7 @@ def run_trial(
                     else:
                         ok0 = True
                 # value 1: r1' = r1 - 1
-                if r1p < 0 or r1p > rc_after:
-                    ok1 = False
-                elif naive:
-                    ok1 = True
-                elif r2p1 < 0 or r2p1 > open_after:
+                if r1p < 0 or r1p > rc_after or r2p1 < 0 or r2p1 > open_after:
                     ok1 = False
                 else:
                     diff = abs(r2p1 - f1a1)
@@ -297,9 +285,7 @@ def run_trial(
                         ok1 = True
 
             if ok0 and ok1:
-                if naive:
-                    p1 = r1 / (rc_after + 1)
-                elif not wmask and rc_after <= exact_cells:
+                if not wmask and rc_after <= exact_cells:
                     # in a row table's zone ok0 and ok1 are the completion
                     # counts, so the step is uniform over the completions
                     p1 = ok1 / (ok0 + ok1)
@@ -391,11 +377,11 @@ def replay_log_q(
     """The exact log proposal probability of an on-fiber table.
 
     Runs run_trial with forcing uniforms, 0.0 at a one and 1.0 at a zero.
-    Where both values are feasible, rho_clamp keeps P[1] inside
-    [eps, 1 - eps] (and naive P[1] lies strictly between 0 and 1), so the
-    uniform takes the table's value; a forced move takes the only feasible
-    one. The trial therefore follows the table exactly when every one of its
-    values passes the screens, and its log_q is the table's bit for bit.
+    Where both values are feasible, RHO_CLAMP keeps P[1] inside
+    [eps, 1 - eps], so the uniform takes the table's value; a forced move
+    takes the only feasible one. The trial therefore follows the table
+    exactly when every one of its values passes the screens, and its log_q
+    is the table's bit for bit.
     Raises OffFiberError naming the first cell the trial cannot follow.
     memo is run_trial's: callers that replay many tables of one shape pass
     one dict to every call, and None gives each call a fresh one.

@@ -22,7 +22,7 @@ from math import exp, log
 
 from isingfiber.endgame import zone
 from isingfiber.grid import BinaryTable, topology
-from isingfiber.sampler import VAR_FLOOR, Draw, _var_scale
+from isingfiber.sampler import RHO_CLAMP, VAR_FLOOR, Draw, _var_scale
 
 UNKNOWN = -1
 
@@ -146,18 +146,14 @@ def frontier_of(cells, cols, k):
 
 
 def endgame_length(rows, cols, config):
-    """How many cells follow the first endgame cell of run_trial (the reach
-    of endgame.zone), or -1 where it has no endgame."""
-    if config.naive_proposal:
-        return -1
+    """How many cells follow the first endgame cell of run_trial: the reach
+    of endgame.zone."""
     return zone(rows, cols, config.endgame_cells)[0]
 
 
 def in_row_zone(rows, cols, config, idx):
     """Whether cell idx lies in the endgame of a grid without the narrow
     table, where P[1] comes from completion counts."""
-    if config.naive_proposal:
-        return False
     reach, table = zone(rows, cols, config.endgame_cells)
     return table is None and rows * cols - idx - 1 <= reach
 
@@ -174,9 +170,8 @@ def completions_after(state, stats, v):
 def feasible_values(state, stats, config, endgame=True):
     """Values at the next cell that pass every enabled screen: counting, the
     discord budget and toggle capacity, then the exact single-one check; in
-    the endgame, exactly the values that admit a completion. In naive mode
-    only the counting screen applies. endgame=False runs the screens on the
-    endgame's cells too."""
+    the endgame, exactly the values that admit a completion. endgame=False
+    runs the screens on the endgame's cells too."""
     if state.next_index >= state.rows * state.cols:
         raise ValueError("state has no unknown cell")
     topo = topology(state.rows, state.cols)
@@ -190,17 +185,16 @@ def feasible_values(state, stats, config, endgame=True):
         r1p = stats.t1 - state.placed_ones - v
         if r1p < 0 or r1p > rc_after:
             continue
-        if not config.naive_proposal:
-            disc_after, f1_after = after_state(state, v)
-            r2p = stats.t2 - disc_after
-            if r2p < 0 or r2p > topo.n_edges - state.det_edges - nb_det:
+        disc_after, f1_after = after_state(state, v)
+        r2p = stats.t2 - disc_after
+        if r2p < 0 or r2p > topo.n_edges - state.det_edges - nb_det:
+            continue
+        diff = abs(r2p - f1_after)
+        if diff > r1p and diff > topo.toggle_capacity(idx + 1, r1p):
+            continue
+        if r1p == 1:
+            if not single_one_feasible(topo, state.cells, idx, v, f1_after, r2p):
                 continue
-            diff = abs(r2p - f1_after)
-            if diff > r1p and diff > topo.toggle_capacity(idx + 1, r1p):
-                continue
-            if r1p == 1:
-                if not single_one_feasible(topo, state.cells, idx, v, f1_after, r2p):
-                    continue
         out.append(v)
     return tuple(out)
 
@@ -211,10 +205,7 @@ def branch_probabilities(state, stats, config):
     idx = state.next_index
     r1 = stats.t1 - state.placed_ones
     rc = topo.n_cells - idx
-    eps = config.rho_clamp
-    if config.naive_proposal:
-        p1 = r1 / rc
-        return 1.0 - p1, p1
+    eps = RHO_CLAMP
     if in_row_zone(state.rows, state.cols, config, idx):
         n0, n1 = completions_after(state, stats, 0), completions_after(state, stats, 1)
         p1 = min(max(n1 / (n0 + n1), eps), 1.0 - eps)

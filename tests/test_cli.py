@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +61,20 @@ class TestStats:
         assert code == 1
         assert out == ""
         assert "ragged" in err
+
+
+    @pytest.mark.parametrize("command", ["stats", "test"])
+    def test_file_is_closed(self, capsys, tmp_path, command):
+        # reading the table file leaves no unclosed handle behind
+        path = tmp_path / "t.txt"
+        path.write_text("10\n01\n")
+        extra = ["-n", "50"] if command == "test" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(capsys, command, str(path), *extra)
+            gc.collect()
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestEnumerate:
@@ -178,7 +194,7 @@ class TestTest:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 5
+        assert payload["schema"] == 6
         assert payload["delta"] == 1.0
         assert payload["p1"] == 0.0
         assert payload["p2"] == pytest.approx(1.0)
@@ -186,7 +202,7 @@ class TestTest:
         assert payload["config"]["t2"] == 2
         assert list(payload["config"]) == [
             "rows", "cols", "t1", "t2", "n_samples", "stat",
-            "endgame_cells", "rho_clamp", "naive_proposal",
+            "endgame_cells",
         ]
         assert out.endswith("\n")
 
@@ -222,11 +238,6 @@ class TestTest:
         )
         assert code == 0
         assert json.loads(out)["config"]["endgame_cells"] == 0
-        code, out, _ = run_cli(
-            capsys, "test", str(path), "-n", "300", "--seed", "3", "--naive-proposal"
-        )
-        assert code == 0
-        assert json.loads(out)["config"]["naive_proposal"] is True
 
     def test_retired_no_lp_flag_exits_one(self, capsys, tmp_path):
         # --endgame-cells 0 does what --no-lp did
@@ -243,6 +254,17 @@ class TestTest:
         code, out, err = run_cli_exit(capsys, "test", str(path), "-n", "300", "--lp-cells", "0")
         assert code == 1
         assert out == "" and "--lp-cells" in err
+
+    @pytest.mark.parametrize(
+        "flag", [["--naive-proposal"], ["--rho-clamp", "0.01"]], ids=lambda flag: flag[0]
+    )
+    def test_retired_sampler_flags_exit_one(self, capsys, tmp_path, flag):
+        # the sampler has one proposal, clamped at sampler.RHO_CLAMP
+        path = tmp_path / "t.txt"
+        path.write_text("100\n010\n001\n")
+        code, out, err = run_cli_exit(capsys, "test", str(path), "-n", "300", *flag)
+        assert code == 1
+        assert out == "" and flag[0] in err
 
     def test_stat_choice_changes_observed(self, capsys, tmp_path):
         path = tmp_path / "t.txt"
@@ -274,7 +296,7 @@ class TestJsonOutput:
         code, out, _ = run_cli(capsys, "test", str(path), "-n", "10", "--seed", "1")
         assert code == 0
         payload = strict_json(out)
-        assert payload["schema"] == 5
+        assert payload["schema"] == 6
         assert payload["fiber_size_estimate"] is None and payload["fiber_size_se"] is None
         assert payload["log_fiber_size_estimate"] > 709.0
 
@@ -294,7 +316,7 @@ class TestJsonOutput:
         code, out, err = run_cli(capsys, "test", str(path), "-n", "200", "--seed", "4", *extra)
         assert code == 0, err
         payload = strict_json(out)
-        assert payload["schema"] == 5 and payload["n_trials"] == 200
+        assert payload["schema"] == 6 and payload["n_trials"] == 200
         assert payload["n_accepted"] > 0
         assert "lp_ratio_threshold" not in payload["config"]
 

@@ -11,7 +11,7 @@ from isingfiber.grid import BinaryTable, SuffStats, t1, t2, topology
 from isingfiber.inference import collect_trials, report_from_batch
 from isingfiber.models import IsingParams, gibbs_ising
 from isingfiber.oracle import enumerate_fiber
-from isingfiber.sampler import SamplerConfig, replay_log_q, run_trial, uniform_rows
+from isingfiber.sampler import RHO_CLAMP, SamplerConfig, replay_log_q, run_trial, uniform_rows
 
 from reference_step import completable, completions, frontier_of, reference_trial
 
@@ -105,6 +105,17 @@ class TestZone:
         assert all(zone(10, 10, cells)[1] is not None for cells in (0, 33, 40, 60))
         assert zone(2, MAX_COLS + 2, 40) == (MAX_COLS + 1, None)
 
+    def test_lengths_past_the_reach_share_one_table(self):
+        # on 10x10 every L from 33 up trims to the same first cell, so they
+        # get one cached table, built once
+        from isingfiber import endgame
+
+        endgame.zone.cache_clear()
+        endgame._levels.cache_clear()
+        table = zone(10, 10, 33)[1]
+        assert all(zone(10, 10, cells)[1] is table for cells in range(34, 61))
+        assert endgame._levels.cache_info().misses == 1
+
     def test_trimmed_table_runs_at_40_cells(self, lp_calls, row_tables, lookups):
         # --endgame-cells 40 on 10x10 screens the last 33 cells with the
         # narrow table, builds no row table, and equals the reference
@@ -178,14 +189,14 @@ def row_completions(n, k, w, r1, r2):
 
 def zone_clamped(table, stats):
     """Whether some step of a 1 x n table's path, where both values pass,
-    has a count ratio N1 / (N0 + N1) that rho_clamp moves."""
+    has a count ratio N1 / (N0 + N1) that RHO_CLAMP moves."""
     n, cells = table.cols, table.cells
     r1, r2 = stats.t1, stats.t2
     for k, v in enumerate(cells):
         counts = [
             row_completions(n, k + 1, x, r1 - x, r2 - (k > 0 and x != cells[k - 1])) for x in (0, 1)
         ]
-        if all(counts) and not CFG.rho_clamp <= counts[1] / sum(counts) <= 1 - CFG.rho_clamp:
+        if all(counts) and not RHO_CLAMP <= counts[1] / sum(counts) <= 1 - RHO_CLAMP:
             return True
         r1 -= v
         r2 -= k > 0 and v != cells[k - 1]
@@ -197,7 +208,7 @@ class TestCountedZone:
     def test_one_row_weights_are_uniform(self, n):
         # every cell of a 1 x n grid, n > MAX_COLS, lies in the row table's
         # zone, whose P[1] is a ratio of completion counts: each accepted
-        # table unmoved by rho_clamp carries the weight 1 / q = the fiber's
+        # table unmoved by RHO_CLAMP carries the weight 1 / q = the fiber's
         # size, so in particular the tables that share cell 0's value carry
         # one weight
         rng = np.random.default_rng(n)

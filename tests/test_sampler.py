@@ -100,13 +100,6 @@ class TestFeasibleValues:
                 )
                 assert math.isfinite(replay_log_q(member, stats, CFG)), (stats, prefix, v)
 
-    def test_naive_mode_keeps_only_counting(self):
-        # the empty fiber (1, 3) passes counting at every cell, so naive
-        # trials run to the final check
-        cfg = SamplerConfig(naive_proposal=True)
-        for seed in range(20):
-            assert trial(2, 2, SuffStats(1, 3), seed, cfg) == Draw.reject(4)
-
 
 class TestProposeCell:
     """Branch probabilities and forced moves, seen through run_trial and replay_log_q."""
@@ -196,16 +189,6 @@ class TestSampleTable:
         assert draws[0] == draws[1] == trial(3, 3, stats, 77)
         assert step_cache
 
-    def test_naive_mode_rejects_only_at_completion(self):
-        cfg = SamplerConfig(naive_proposal=True)
-        stats = SuffStats(3, 8)
-        stages = set()
-        for seed in range(200):
-            draw = trial(3, 3, stats, seed, cfg)
-            if not draw.accepted:
-                stages.add(draw.stage)
-        assert stages <= {9}
-
     def test_validates_stats_range(self):
         with pytest.raises(ValueError):
             collect_trials(2, 2, SuffStats(5, 0), CFG, seed=0, n_trials=1)
@@ -231,7 +214,6 @@ def _reference_grids():
 # decide as the screens do there
 REFERENCE_CONFIGS = {
     "default": (SamplerConfig(), True),
-    "naive": (SamplerConfig(naive_proposal=True), True),
     "endgame-0-screens": (SamplerConfig(endgame_cells=0), False),
     "lp-cells-0": (SamplerConfig(endgame_cells=0), True),
 }
@@ -257,8 +239,7 @@ class TestReferenceStep:
             if draw.accepted:
                 accepted += 1
                 assert draw.log_q.hex() == expected.log_q.hex()
-        # naive trials on large grids almost never land on the fiber
-        assert accepted > 0 or (config_name == "naive" and rows * cols > 25)
+        assert accepted > 0
         assert not lp_calls  # the sampler solves no LP
         if config_name == "default" and 6 <= rows < 20:
             # the narrow endgame table is on the path compared
@@ -266,8 +247,7 @@ class TestReferenceStep:
         if rows == 20:
             # 20 columns: above the narrow table's width cap, so the last
             # row's cells are screened by row tables
-            assert not lookups
-            assert bool(row_tables) == (config_name != "naive")
+            assert not lookups and row_tables
 
     @pytest.mark.parametrize("size, alpha, trials", [(10, -2.0, 60), (20, -3.0, 20)])
     def test_one_memo_serves_two_fibers_of_a_shape(self, size, alpha, trials):
@@ -416,12 +396,12 @@ class TestSupport:
         for member in fiber_members(4, 4, stats):
             assert math.isfinite(replay_log_q(member, stats, CFG, memo))
 
-    def test_support_without_lp_and_naive(self):
+    def test_support_at_endgame_cells_0(self):
         stats = SuffStats(3, 8)
-        for cfg in (SamplerConfig(endgame_cells=0), SamplerConfig(naive_proposal=True)):
-            memo = {}
-            for member in fiber_members(3, 3, stats):
-                assert math.isfinite(replay_log_q(member, stats, cfg, memo))
+        cfg = SamplerConfig(endgame_cells=0)
+        memo = {}
+        for member in fiber_members(3, 3, stats):
+            assert math.isfinite(replay_log_q(member, stats, cfg, memo))
 
     def test_replay_names_the_first_cell_it_cannot_follow(self, monkeypatch):
         # with an unsound single-one screen patched in, value 0 at cell 0 is
@@ -442,10 +422,7 @@ class TestSupport:
 
 
 class TestReplayEquality:
-    @pytest.mark.parametrize(
-        "config",
-        [SamplerConfig(), SamplerConfig(endgame_cells=0), SamplerConfig(naive_proposal=True)],
-    )
+    @pytest.mark.parametrize("config", [SamplerConfig(), SamplerConfig(endgame_cells=0)])
     def test_replay_matches_draw_bit_for_bit(self, config, fibers_3x3):
         memo = {}  # replays of one shape share a memo
         for stats in list(fibers_3x3)[::6]:
