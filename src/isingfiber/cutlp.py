@@ -53,10 +53,8 @@ def suspension_semimetric(table) -> np.ndarray:
     """The cut vector induced by a table: apex coordinates are the cell values,
     grid-edge coordinates the discordances (w on the zero side)."""
     topo = topology(table.rows, table.cols)
-    cells = table.cells
-    e1 = np.array(cells, dtype=float)
-    e2 = np.array([abs(cells[a] - cells[b]) for a, b in topo.edges], dtype=float)
-    return np.concatenate([e1, e2])
+    e1 = np.array(table.cells, dtype=float)
+    return np.concatenate([e1, np.abs(e1[topo.edge_lo] - e1[topo.edge_hi])])
 
 
 # the triangle rows of edge uv as <= rows: (sign on u, sign on v, sign on uv, rhs)

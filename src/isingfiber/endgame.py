@@ -5,7 +5,7 @@ w, the part of the prefix those cells see, and r1 ones to place, packs one
 digit per discord r2, which describes the completions of the m cells that
 place r1 ones and add r2 discordant edges.
 
-`endgame_table` serves grids at most MAX_COLS wide: a backward transfer-matrix
+The narrow table serves grids at most MAX_COLS wide: a backward transfer-matrix
 recursion over the last L raster cells. A completion's discord depends on the
 prefix only through its last `cols` values, the frontier w (bit j holds cell
 k - 1 - j): every undetermined cell's up neighbour lies among them, and its
@@ -24,8 +24,10 @@ its own. Its digits are completion counts, packed in Python ints with no
 width cap: a count above 0 is the narrow table's bit, and two counts give
 the exact branch probability.
 
-`zone` states which table screens how many cells; run_trial reads the rule
-from it and nowhere else.
+`zone` is the endgame's single entry. It states the width rule, the 64-edge
+trim and the reach, and hands out the narrow table, which `_levels` builds
+and caches by its first cell; run_trial reads the rule from it and nowhere
+else, and builds a row_endgame where zone gives no table.
 """
 
 from __future__ import annotations
@@ -41,24 +43,9 @@ MAX_COLS = 10  # 1,024 frontier values; the 10x10 table at L = 20 takes 1.9 MB
 BITS = 64
 
 
-def endgame_table(rows: int, cols: int, cells: int) -> tuple | None:
-    """The levels covering the last `cells` raster cells, trimmed to the
-    longest suffix whose edges number fewer than 64, or None where cols is
-    above MAX_COLS. levels[m] is a (2^cols, m + 1) memoryview of uint64 sets
-    for m below len(levels). Every length that trims to the same first cell
-    gets the same cached levels."""
-    if cols > MAX_COLS:
-        return None
-    topo = topology(rows, cols)
-    first = max(topo.n_cells - cells, 0)
-    while topo.n_edges - topo.determined_edges[first] >= BITS:
-        first += 1
-    return _levels(rows, cols, first)
-
-
 @lru_cache(maxsize=8)
 def _levels(rows: int, cols: int, first: int) -> tuple:
-    """endgame_table's levels from the last cell back to cell `first`."""
+    """The narrow table's levels from the last cell back to cell `first`."""
     topo = topology(rows, cols)
     n = topo.n_cells
     size = 1 << cols
@@ -110,11 +97,18 @@ def row_endgame(ups, ones: int) -> tuple[list[dict], int]:
 def zone(rows: int, cols: int, cells: int) -> tuple[int, tuple | None]:
     """The endgame for a shape and `cells`, the endgame length asked for, as
     (reach, table): a cell followed by at most reach cells is screened
-    exactly. On grids at most MAX_COLS wide, table is endgame_table's levels
-    and reach len(table) - 1. On every other grid, reach is min(cells,
-    cols - 1) and table is None: each trial builds a row_endgame over those
-    cells. Cached: run_trial asks for it once per trial."""
-    table = endgame_table(rows, cols, cells)
-    if table is not None:
-        return len(table) - 1, table
-    return min(cells, cols - 1), None
+    exactly. On grids at most MAX_COLS wide, table is the narrow table's
+    levels over the last `cells` raster cells, trimmed to the longest suffix
+    whose edges number fewer than 64, and reach is len(table) - 1; levels[m]
+    is a (2^cols, m + 1) memoryview of uint64 sets. Every length that trims
+    to the same first cell gets the same cached levels. On every other grid,
+    reach is min(cells, cols - 1) and table is None: each trial builds a
+    row_endgame over those cells. Cached: run_trial asks for it once per
+    trial."""
+    if cols > MAX_COLS:
+        return min(cells, cols - 1), None
+    topo = topology(rows, cols)
+    first = max(topo.n_cells - cells, 0)
+    while topo.n_edges - topo.determined_edges[first] >= BITS:
+        first += 1
+    return topo.n_cells - first, _levels(rows, cols, first)

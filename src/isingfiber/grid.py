@@ -79,7 +79,8 @@ class SuffStats:
             raise ValueError(f"sufficient statistics must be nonnegative, got {self}")
 
     def validate_for(self, rows: int, cols: int) -> None:
-        """Check the shape-dependent ranges; raises ValueError if violated."""
+        """Check the shape and the ranges it sets; raises ValueError if violated."""
+        check_shape(rows, cols)
         n_cells = rows * cols
         n_edges = 2 * rows * cols - rows - cols
         if self.t1 > n_cells:
@@ -103,18 +104,16 @@ class GridTopology:
     """
 
     def __init__(self, rows: int, cols: int):
-        if rows < 1 or cols < 1:
-            raise ValueError(f"grid shape must be positive, got {rows}x{cols}")
+        check_shape(rows, cols)
         self.rows = rows
         self.cols = cols
         self.n_cells = rows * cols
-        self.edges: list[tuple[int, int]] = []
-        for i in range(rows):
-            for j in range(cols - 1):
-                self.edges.append((i * cols + j, i * cols + j + 1))
-        for i in range(rows - 1):
-            for j in range(cols):
-                self.edges.append((i * cols + j, (i + 1) * cols + j))
+        # the endpoints of each edge, lower raster index first, as intp arrays
+        # for numpy and as the pairs of Python ints in `edges`
+        cell = np.arange(self.n_cells, dtype=np.intp).reshape(rows, cols)
+        self.edge_lo = np.concatenate((cell[:, :-1].ravel(), cell[:-1, :].ravel()))
+        self.edge_hi = np.concatenate((cell[:, 1:].ravel(), cell[1:, :].ravel()))
+        self.edges = list(zip(self.edge_lo.tolist(), self.edge_hi.tolist()))
         self.n_edges = len(self.edges)
 
         # unit squares as (top, right, bottom, left) edge indices, a 4-cycle:
@@ -163,23 +162,15 @@ class GridTopology:
         # endpoints >= k, determined_edges[k] has both < k; the rest straddle
         # the frontier
         n = self.n_cells
-        ff = [0] * (n + 2)
-        dd = [0] * (n + 2)
-        for u, v in self.edges:
-            lo, hi = (u, v) if u < v else (v, u)
-            ff[0] += 1
-            ff[lo + 1] -= 1
-            dd[hi + 1] += 1
-        self.free_free_edges = [0] * (n + 1)
-        self.determined_edges = [0] * (n + 1)
-        self.frontier_edges = [0] * (n + 1)
-        acc_ff = acc_dd = 0
-        for k in range(n + 1):
-            acc_ff += ff[k]
-            acc_dd += dd[k]
-            self.free_free_edges[k] = acc_ff
-            self.determined_edges[k] = acc_dd
-            self.frontier_edges[k] = self.n_edges - acc_ff - acc_dd
+
+        def before(ends):  # before(ends)[k]: the edges whose end in `ends` is < k
+            return np.concatenate(([0], np.bincount(ends, minlength=n).cumsum()))
+
+        determined = before(self.edge_hi)
+        free_free = self.n_edges - before(self.edge_lo)
+        self.determined_edges = determined.tolist()
+        self.free_free_edges = free_free.tolist()
+        self.frontier_edges = (self.n_edges - free_free - determined).tolist()
 
         # the constants of the sampler's step at cell k, one tuple per cell:
         # (k, cells after k, up, left, forward degree, determined neighbours,
@@ -219,10 +210,18 @@ def topology(rows: int, cols: int) -> GridTopology:
     return GridTopology(rows, cols)
 
 
+def check_shape(rows: int, cols: int) -> None:
+    """Raise ValueError unless the grid has at least one row and one column."""
+    if rows < 1 or cols < 1:
+        raise ValueError(f"grid shape must be positive, got {rows}x{cols}")
+
+
 def check_prefix(rows: int, cols: int, prefix, cell: int | None = None) -> None:
     """Raise ValueError unless `prefix` is a raster prefix of the grid (at
     most rows*cols values, each 0 or 1) and `cell`, when given, is a cell it
-    leaves undetermined: len(prefix) <= cell < rows*cols."""
+    leaves undetermined: len(prefix) <= cell < rows*cols. The shape is
+    checked first (see check_shape)."""
+    check_shape(rows, cols)
     n, k = rows * cols, len(prefix)
     if any(v not in (0, 1) for v in prefix):
         raise ValueError(f"prefix values must be 0 or 1, got {tuple(prefix)}")

@@ -196,10 +196,6 @@ def _run_range(rows, cols, stats, config, seed, start, stop):
     return accepted, log_q, stage, stat_u, stat_up
 
 
-def _worker(args):
-    return _run_range(*args)
-
-
 def collect_trials(
     rows: int,
     cols: int,
@@ -231,7 +227,7 @@ def collect_trials(
         # more than there are cores or jobs
         n_procs = min(workers, os.cpu_count() or 1, len(jobs))
         with ProcessPoolExecutor(max_workers=n_procs) as pool:
-            parts = list(pool.map(_worker, jobs))
+            parts = list(pool.map(_run_range, *zip(*jobs)))
     # the parts come in job order, so joining them lays trial i at index i
     accepted, log_q, stage, stat_u, stat_up = (np.concatenate(arrays) for arrays in zip(*parts))
     return TrialBatch(rows, cols, stats, accepted, log_q, stage, stat_u, stat_up)

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .grid import BinaryTable, SuffStats, check_prefix, topology, window_stats
+from .grid import BinaryTable, SuffStats, check_prefix, check_shape, topology, window_stats
 
 CELL_CAP = 25
 _CHUNK = 65536
@@ -36,6 +36,7 @@ class FiberSummary:
 
 
 def _check_cap(rows: int, cols: int) -> None:
+    check_shape(rows, cols)
     if rows * cols > CELL_CAP:
         raise CapExceededError(
             f"grid has {rows * cols} cells, enumeration is capped at {CELL_CAP}"
@@ -53,8 +54,6 @@ def _members(rows: int, cols: int, stats: SuffStats, prefix) -> Iterator[np.ndar
     r1 = stats.t1 - sum(prefix)
     if not 0 <= r1 <= n - k:
         return
-    ea = np.fromiter((a for a, _ in topo.edges), dtype=np.intp)
-    eb = np.fromiter((b for _, b in topo.edges), dtype=np.intp)
     base = np.zeros(n, dtype=np.int8)
     base[:k] = prefix
     combos = combinations(range(k, n), r1)
@@ -65,7 +64,7 @@ def _members(rows: int, cols: int, stats: SuffStats, prefix) -> Iterator[np.ndar
         x = np.tile(base, (len(chunk), 1))
         if r1:
             x[np.repeat(np.arange(len(chunk)), r1), np.array(chunk, dtype=np.intp).ravel()] = 1
-        x = x[(x[:, ea] != x[:, eb]).sum(axis=1) == stats.t2]
+        x = x[(x[:, topo.edge_lo] != x[:, topo.edge_hi]).sum(axis=1) == stats.t2]
         if len(x):
             yield x
 
@@ -122,16 +121,10 @@ def nonempty_fibers(rows: int, cols: int) -> dict[SuffStats, int]:
     _check_cap(rows, cols)
     topo = topology(rows, cols)
     n = topo.n_cells
-    ea = np.fromiter((a for a, _ in topo.edges), dtype=np.intp)
-    eb = np.fromiter((b for _, b in topo.edges), dtype=np.intp)
-    sizes: dict[SuffStats, int] = {}
+    sizes = Counter()
     for start in range(0, 2**n, _CHUNK):
-        stop = min(start + _CHUNK, 2**n)
-        codes = np.arange(start, stop, dtype=np.uint64)
+        codes = np.arange(start, min(start + _CHUNK, 2**n), dtype=np.uint64)
         x = (codes[:, None] >> np.arange(n, dtype=np.uint64)) & 1
-        t1s = x.sum(axis=1)
-        t2s = (x[:, ea] != x[:, eb]).sum(axis=1)
-        for a, b in zip(t1s.tolist(), t2s.tolist()):
-            key = SuffStats(int(a), int(b))
-            sizes[key] = sizes.get(key, 0) + 1
-    return sizes
+        t2s = (x[:, topo.edge_lo] != x[:, topo.edge_hi]).sum(axis=1)
+        sizes.update(zip(x.sum(axis=1).tolist(), t2s.tolist()))
+    return {SuffStats(a, b): size for (a, b), size in sizes.items()}

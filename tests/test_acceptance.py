@@ -31,7 +31,10 @@ FIBERS_4X4 = [
     SuffStats(4, 12),
     SuffStats(5, 14),
     SuffStats(6, 16),
-    SuffStats(5, 6),  # crowded: exercises the LP pruning hard
+    # crowded: 48 tables, their ones packed in blocks against the border. The
+    # narrow endgame table covers all 16 cells, so its exact lookups must
+    # steer every trial into this small fiber
+    SuffStats(5, 6),
 ]
 
 

@@ -105,6 +105,15 @@ class TestEnumerate:
         assert code == 1
         assert "25" in err
 
+    @pytest.mark.parametrize("rows, cols", [("-1", "2"), ("-10", "-10")])
+    def test_bad_shape_exits_one(self, capsys, rows, cols):
+        # the shape is blamed, not t1 or the cell cap
+        code, out, err = run_cli(
+            capsys, "enumerate", "--rows", rows, "--cols", cols, "--t1", "0", "--t2", "0"
+        )
+        assert code == 1 and out == ""
+        assert f"grid shape must be positive, got {rows}x{cols}" in err
+
 
 class TestSimulate:
     def test_ising_round_trip(self, capsys, tmp_path):

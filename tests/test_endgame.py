@@ -6,7 +6,7 @@ from itertools import groupby, product
 import numpy as np
 import pytest
 
-from isingfiber.endgame import MAX_COLS, endgame_table, row_endgame, zone
+from isingfiber.endgame import MAX_COLS, row_endgame, zone
 from isingfiber.grid import BinaryTable, SuffStats, t1, t2, topology
 from isingfiber.inference import collect_trials, report_from_batch
 from isingfiber.models import IsingParams, gibbs_ising
@@ -35,7 +35,7 @@ def table_verdict(rows, cols, prefix, r1, r2):
     w = 0
     for j in range(min(cols, k)):
         w |= prefix[k - 1 - j] << j
-    level = endgame_table(rows, cols, CFG.endgame_cells)[rows * cols - k]
+    level = zone(rows, cols, CFG.endgame_cells)[1][rows * cols - k]
     return bool((level[w, r1] >> r2) & 1)
 
 
@@ -84,16 +84,16 @@ class TestTableVerdicts:
         assert seen[True] > 100 and seen[False] > 100
 
     def test_width_and_bit_caps(self):
-        assert len(endgame_table(10, 10, 20)) == 21
-        assert endgame_table(2, MAX_COLS + 2, 20) is None
+        assert len(zone(10, 10, 20)[1]) == 21
+        assert zone(2, MAX_COLS + 2, 20)[1] is None
         # the last 40 cells of a 10x10 grid carry 76 edges, more than a
         # 64-bit word holds: the table trims to the last 33, which carry 63
         topo = topology(10, 10)
         assert topo.n_edges - topo.determined_edges[100 - 40] == 76
         assert topo.n_edges - topo.determined_edges[100 - 33] == 63
-        assert len(endgame_table(10, 10, 40)) == 34
+        assert len(zone(10, 10, 40)[1]) == 34
         # a single column carries one edge per cell: 40 cells fit
-        assert len(endgame_table(40, 1, 40)) == 41
+        assert len(zone(40, 1, 40)[1]) == 41
 
 
 class TestZone:

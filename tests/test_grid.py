@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isingfiber.cutlp import cell_bounds, state_lp_feasible
 from isingfiber.grid import (
     BinaryTable,
     ParseError,
@@ -15,6 +16,9 @@ from isingfiber.grid import (
     u_prime_stat,
     u_stat,
 )
+from isingfiber.inference import collect_trials
+from isingfiber.oracle import enumerate_fiber, exact_cell_bounds, fiber_members, nonempty_fibers
+from isingfiber.sampler import SamplerConfig
 
 from conftest import naive_t1, naive_t2, naive_u, naive_u_prime, table_from_bits
 
@@ -155,6 +159,62 @@ class TestTypes:
         topo33 = topology(3, 3)
         assert topo33.toggle_capacity(0, 1) == 4  # the center has degree 4
         assert topo33.toggle_capacity(0, 0) == 0
+
+
+# every entry point that takes a (rows, cols) shape, called on the empty fiber
+SHAPE_ENTRY_POINTS = {
+    "validate_for": lambda r, c: SuffStats(0, 0).validate_for(r, c),
+    "collect_trials": lambda r, c: collect_trials(r, c, SuffStats(0, 0), SamplerConfig(), 1, 10),
+    "cell_bounds": lambda r, c: cell_bounds(r, c, SuffStats(0, 0), (), 0),
+    "state_lp_feasible": lambda r, c: state_lp_feasible(r, c, SuffStats(0, 0), ()),
+    "fiber_members": lambda r, c: list(fiber_members(r, c, SuffStats(0, 0))),
+    "enumerate_fiber": lambda r, c: enumerate_fiber(r, c, SuffStats(0, 0)),
+    "exact_cell_bounds": lambda r, c: exact_cell_bounds(r, c, SuffStats(0, 0), (), 0),
+    "nonempty_fibers": nonempty_fibers,
+}
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (-1, 2), (-10, -10)], ids=["0x5", "-1x2", "-10x-10"])
+@pytest.mark.parametrize("entry", sorted(SHAPE_ENTRY_POINTS))
+def test_bad_shape_is_refused_first(entry, shape):
+    # the shape rule runs before any range, prefix or cap check
+    with pytest.raises(ValueError, match="grid shape must be positive"):
+        SHAPE_ENTRY_POINTS[entry](*shape)
+
+
+TOPOLOGY_SHAPES = [(1, 1), (1, 7), (7, 1), (3, 3), (4, 7), (10, 10), (20, 20), (14, 179)]
+
+
+@pytest.mark.parametrize(
+    "rows, cols", TOPOLOGY_SHAPES, ids=[f"{r}x{c}" for r, c in TOPOLOGY_SHAPES]
+)
+class TestEdgeLayout:
+    def test_edge_arrays_follow_edges(self, rows, cols):
+        topo = topology(rows, cols)
+        for ends in (topo.edge_lo, topo.edge_hi):
+            assert ends.dtype == np.intp and ends.shape == (topo.n_edges,)
+        assert list(zip(topo.edge_lo.tolist(), topo.edge_hi.tolist())) == topo.edges
+        # horizontals row by row, then verticals row by row
+        layout = [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
+        layout += [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)]
+        assert topo.edges == layout and topo.n_edges == 2 * rows * cols - rows - cols
+        assert all(type(v) is int for edge in topo.edges for v in edge)
+
+    def test_prefix_counts_match_a_direct_count(self, rows, cols):
+        # at every prefix length k, count the edges with both ends before k,
+        # both at or after k, and one on each side
+        topo = topology(rows, cols)
+        lo = np.array([a for a, _ in topo.edges], dtype=np.int64)
+        hi = np.array([b for _, b in topo.edges], dtype=np.int64)
+        k = np.arange(topo.n_cells + 1)[:, None]
+        determined = (hi < k).sum(axis=1).tolist()
+        free_free = (lo >= k).sum(axis=1).tolist()
+        frontier = ((lo < k) & (hi >= k)).sum(axis=1).tolist()
+        assert topo.determined_edges == determined
+        assert topo.free_free_edges == free_free
+        assert topo.frontier_edges == frontier
+        counts = topo.determined_edges + topo.free_free_edges + topo.frontier_edges
+        assert all(type(v) is int for v in counts)
 
 
 class TestParsing:

@@ -246,8 +246,8 @@ class TestBatchDriver:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(inference, "ProcessPoolExecutor", SerialPool)
         stats = SuffStats(3, 8)

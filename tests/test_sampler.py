@@ -209,13 +209,15 @@ def _reference_grids():
 
 
 # name: (run_trial's config, whether the reference runs its endgame).
-# "endgame-0-screens" runs the reference's screens on every cell, endgame
-# included: endgame_cells=0 leaves only the last cell's lookup, which must
-# decide as the screens do there
+# "endgame-cells-0" checks endgame_cells=0 against the reference with its
+# endgame on: the zone then reaches no cell but the last, which alone is
+# decided by completable. "endgame-0-screens" runs the same config with the
+# reference's screens on every cell, endgame included: the last cell's
+# lookup must decide as the screens do there
 REFERENCE_CONFIGS = {
     "default": (SamplerConfig(), True),
     "endgame-0-screens": (SamplerConfig(endgame_cells=0), False),
-    "lp-cells-0": (SamplerConfig(endgame_cells=0), True),
+    "endgame-cells-0": (SamplerConfig(endgame_cells=0), True),
 }
 
 
