@@ -29,7 +29,7 @@ from .grid import (
     u_stat,
 )
 from .inference import EmptyFiberSampleError, run_exact_test
-from .models import AutologisticParams, IsingParams, gibbs_autologistic, gibbs_ising
+from .models import DEFAULT_SWEEPS, AutologisticParams, IsingParams, gibbs_autologistic, gibbs_ising
 from .oracle import CapExceededError, enumerate_fiber, exact_pvalues
 from .sampler import SamplerConfig
 
@@ -159,7 +159,7 @@ def build_parser() -> _Parser:
         p = sim_sub.add_parser(name)
         p.add_argument("--rows", type=int, required=True)
         p.add_argument("--cols", type=int, required=True)
-        p.add_argument("--sweeps", type=int, default=1001)
+        p.add_argument("--sweeps", type=int, default=DEFAULT_SWEEPS)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("-o", "--output", default=None)
         if name == "ising":
@@ -183,7 +183,7 @@ def build_parser() -> _Parser:
     ts.add_argument(
         "--endgame-cells",
         type=int,
-        default=20,
+        default=SamplerConfig.endgame_cells,
         help="endgame length: a cell followed by at most this many cells is screened "
         "exactly, up to the reach endgame.zone gives the shape; 0 turns the endgame off",
     )

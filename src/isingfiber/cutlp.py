@@ -9,6 +9,11 @@ eight square inequalities per unit square, so LP feasibility and LP cell
 bounds are sound: they never exclude a genuine completion, but may fail to
 exclude an impossible one.
 
+The unit box takes no rows: two triangle rows of an edge uv sum to
+0 <= x <= 1 for each of x_u, x_v and x_uv, also with u determined; every
+free cell and free edge lies on a free edge's triangle rows; and a grid with
+no edge has one cell, pinned by the t1 row. The solves pass x >= 0 alone.
+
 Every LP here is posed on a raster state, a determined prefix of k cells.
 The determined cells and the edges between them are not variables: rows
 inside the determined region hold automatically, and every other row sees
@@ -137,7 +142,7 @@ def _solve(
         c[cell - k] = 1.0
     points = []
     for objective in [c] if cell is None else [c, -c]:
-        res = solve_canonical(objective, A_ub, b_ub, A_eq, b_eq, np.ones(n_vars))
+        res = solve_canonical(objective, A_ub, b_ub, A_eq, b_eq)
         if res.status != "optimal":
             return None
         points.append(res.x)

@@ -17,9 +17,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .grid import STATISTICS, BinaryTable, SuffStats, t1, t2, window_stats
 # u_stat and u_prime_stat are not called here (window_stats counts both over
 # a block of tables); they stay module attributes, which bench/tracer.py wraps
-from .grid import BinaryTable, SuffStats, u_prime_stat, u_stat, window_stats  # noqa: F401
+from .grid import u_prime_stat, u_stat  # noqa: F401
 from .sampler import SamplerConfig, new_step_cache, run_trial, uniform_rows
 
 
@@ -274,12 +275,10 @@ def run_exact_test(
     sequentially, and reports the importance-weighted p-value bracket for the
     chosen window statistic.
     """
-    from .grid import STATISTICS, t1 as calc_t1, t2 as calc_t2
-
     config = config or SamplerConfig()
     stats = SuffStats(
-        calc_t1(table) if t1_override is None else t1_override,
-        calc_t2(table) if t2_override is None else t2_override,
+        t1(table) if t1_override is None else t1_override,
+        t2(table) if t2_override is None else t2_override,
     )
     observed = STATISTICS[stat_name](table)
     batch = collect_trials(table.rows, table.cols, stats, config, seed, n_samples, workers)

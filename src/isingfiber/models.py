@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import exp
+from math import exp, isnan
 
 import numpy as np
 
@@ -138,9 +138,12 @@ def _sweep(rows, cols, directions, tables, sweeps, rng) -> BinaryTable:
     a chunk of sweeps at once. The rest are settled in raster order, reading
     each neighbor's freshest value. The generator gives out rows * cols
     doubles per sweep, in the order of one `random(rows * cols)` per sweep.
+    A NaN entry, from finite parameters that overflow, raises ValueError.
     """
     if sweeps < 1:
         raise ValueError("need at least one sweep")
+    if any(isnan(p) for table in tables for p in table):
+        raise ValueError("a conditional probability is NaN: the parameters overflow")
     rng = rng if rng is not None else np.random.default_rng()
     cells = list(BinaryTable(rows, cols, (0,) * (rows * cols)).cells)
     n = len(cells)

@@ -64,12 +64,13 @@ def _var_scale(total_edges: int) -> float:
 _TERMS = Struct("8d")
 
 
-def _branch_terms(r1: int, rc_after: int, eff1: int, fro1: int, scale: float) -> bytes:
+def _branch_terms(r1: int, rc_after: int, eff1: int, fro1: int, n_edges: int) -> bytes:
     """The terms of the Gaussian branch weights at a cell that depend only on
     the cell and the r1 ones still to place: e, 2 var and log(var) / 2 for
     value 1 (r1 - 1 ones left), the same for value 0 (r1 left), then log(mu)
     and log(1 - mu). Each is the float run_trial's inline expressions gave,
     in their operation order, packed as doubles to keep the memo small."""
+    scale = _var_scale(n_edges)
     terms = []
     for j in (r1 - 1, r1):
         p = j / rc_after
@@ -211,7 +212,6 @@ def run_trial(
     track = step_cache is not None or exact is not None  # whether key is kept
     eps = RHO_CLAMP
     one_minus_eps = 1.0 - eps
-    scale = _var_scale(topo.n_edges)
     # the memo's entry for the shape: per cell, a dict from r1 to packed terms
     if memo is None:
         memo = {}
@@ -308,7 +308,7 @@ def run_trial(
                     at = terms_of[idx]
                     terms = at.get(r1)
                     if terms is None:
-                        terms = at[r1] = _branch_terms(r1, rc_after, eff1, fro1, scale)
+                        terms = at[r1] = _branch_terms(r1, rc_after, eff1, fro1, topo.n_edges)
                     e1, two_var1, half_log_var1, e0, two_var0, half_log_var0, log_mu, log_1_mu = (
                         unpack(terms)
                     )
@@ -386,12 +386,9 @@ def replay_log_q(
     memo is run_trial's: callers that replay many tables of one shape pass
     one dict to every call, and None gives each call a fresh one.
     """
-    from .grid import t1 as stat_t1, t2 as stat_t2
-
-    if stat_t1(table) != stats.t1 or stat_t2(table) != stats.t2:
-        raise OffFiberError(
-            f"table has stats ({stat_t1(table)}, {stat_t2(table)}), expected {stats}"
-        )
+    got = SuffStats.of(table)
+    if got != stats:
+        raise OffFiberError(f"table has stats ({got.t1}, {got.t2}), expected {stats}")
     forcing = [1.0 - v for v in table.cells]
     draw = run_trial(table.rows, table.cols, stats, config, forcing, memo)
     if not draw.accepted:

@@ -1,13 +1,16 @@
-"""Two-phase simplex on a condensed tableau, for the small box-bounded LPs built
-over cut polytopes.
+"""Two-phase simplex on a condensed tableau, for the small LPs built over cut
+polytopes.
 
-Solves  minimize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  0 <= x <= ub.
-Finite upper bounds become rows `x_j <= ub_j`. The tableau is condensed
-(Tucker form): one row per constraint and one column per nonbasic variable,
-with `basic` and `nonbasic` label arrays naming the variable each row and
-column stands for. A pivot therefore updates rows x nonbasic entries, not the
-rows x (variables + slacks + artificials) block of a full tableau, and the
-entries it does compute are the ones a full tableau would hold.
+Solves  minimize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
+That is its one form: an upper bound is a row of A_ub, and the cut-polytope
+LPs need none, as their triangle rows bound every variable by 1 (see cutlp).
+
+The tableau is condensed (Tucker form): one row per constraint and one
+column per nonbasic variable, with `basic` and `nonbasic` label arrays naming
+the variable each row and column stands for. A pivot therefore updates rows
+x nonbasic entries, not the rows x (variables + slacks + artificials) block
+of a full tableau, and the entries it does compute are the ones a full
+tableau would hold.
 
 The pivot rules refer to variable labels, so they choose what a full tableau
 would choose: Dantzig's entering rule with ties to the lowest label, the ratio
@@ -116,22 +119,14 @@ def solve_canonical(
     b_ub: np.ndarray,
     A_eq: np.ndarray,
     b_eq: np.ndarray,
-    ub: np.ndarray,
 ) -> SimplexResult:
-    """Minimize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, 0 <= x <= ub."""
+    """Minimize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
     n = c.size
-    if n == 0:
-        feasible = (b_ub >= -FEAS_TOL).all() and (np.abs(b_eq) <= FEAS_TOL).all()
-        if feasible:
-            return SimplexResult("optimal", 0.0, np.zeros(0))
-        return SimplexResult("infeasible")
-
     # labels: x_j is j, the slack of inequality row r is n + r, and the k-th
     # artificial is n + n_ub + k
-    finite_ub = np.flatnonzero(np.isfinite(ub))
-    A = np.vstack([A_ub, np.eye(n)[finite_ub], A_eq])
-    b = np.concatenate([b_ub, ub[finite_ub], b_eq])
-    n_ub = A_ub.shape[0] + finite_ub.size
+    A = np.vstack([A_ub, A_eq])
+    b = np.concatenate([b_ub, b_eq])
+    n_ub = A_ub.shape[0]
     m = A.shape[0]
     first_art = n + n_ub
 

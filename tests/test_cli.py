@@ -193,6 +193,17 @@ class TestSimulate:
         assert code == 1
         assert "usage" in err
 
+    def test_overflowing_parameters_exit_one(self, capsys):
+        for model, *params in (
+            ("ising", "--alpha", "1e308", "--beta", "1e308"),
+            ("autologistic", "--b0", "0", "--b1", "1e308", "--b2=-1e308", "--b3", "0", "--b4", "0"),
+        ):
+            code, out, err = run_cli(
+                capsys, "simulate", model, "--rows", "2", "--cols", "2", *params
+            )
+            assert code == 1 and out == ""
+            assert "NaN" in err
+
 
 class TestTest:
     def test_single_one_2x2(self, capsys, tmp_path):

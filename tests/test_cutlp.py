@@ -20,7 +20,7 @@ from isingfiber.simplex import solve_canonical
 @pytest.fixture
 def solves(monkeypatch):
     """The arguments of every solve_canonical call cutlp makes:
-    (c, A_ub, b_ub, A_eq, b_eq, upper bounds)."""
+    (c, A_ub, b_ub, A_eq, b_eq)."""
     import isingfiber.cutlp as cutlp
 
     calls = []
@@ -142,7 +142,7 @@ class TestBuildLP:
         # triangle rows touch an apex variable, square rows only grid edges
         touches_cell = A_ub[:, :n_cells].any(axis=1)
         assert state_lp_feasible(rows, cols, SuffStats(1, 2), ())
-        (_, A_ub_solved, _, A_eq, _, _), = solves
+        (_, A_ub_solved, _, A_eq, _), = solves
         assert np.array_equal(A_ub_solved, A_ub)
         return A_ub.shape, (int(touches_cell.sum()), int((~touches_cell).sum())), A_eq.shape
 
@@ -155,7 +155,8 @@ class TestBuildLP:
 
 class TestSolveLP:
     def test_box_only_problem(self):
-        # the 1x1 grid has no edges, so only the box and the t1 row remain
+        # the 1x1 grid has no edges, so no inequality row: the t1 row alone
+        # pins the cell, with x >= 0 the only bound the solver is given
         assert prefix_rows(1, 1, ())[0].shape == (0, 1)
         assert cell_bounds(1, 1, SuffStats(1, 0), (), 0) == CellBounds("bounded", 1, 1)
         assert cell_bounds(1, 1, SuffStats(0, 0), (), 0) == CellBounds("bounded", 0, 0)
@@ -175,13 +176,13 @@ class TestSolveLP:
 
     def test_optimal_solution_satisfies_all_rows(self, solves):
         bounds = cell_bounds(3, 3, SuffStats(3, 8), (1, 0), 5)
-        c, A_ub, b_ub, A_eq, b_eq, upper = solves[1]  # the max of cell 5
+        c, A_ub, b_ub, A_eq, b_eq = solves[1]  # the max of cell 5
         assert c[5 - 2] == -1.0 and np.array_equal(b_eq, [3 - 1, 8 - 1])
-        res = solve_canonical(c, A_ub, b_ub, A_eq, b_eq, upper)
+        res = solve_canonical(c, A_ub, b_ub, A_eq, b_eq)
         assert res.status == "optimal"
         assert (A_ub @ res.x <= b_ub + 1e-7).all()
         assert A_eq @ res.x == pytest.approx(b_eq, abs=1e-7)
-        assert (res.x >= -1e-7).all() and (res.x <= upper + 1e-7).all()
+        assert (res.x >= -1e-7).all() and (res.x <= 1 + 1e-7).all()
         assert bounds.hi == int(res.x[5 - 2] + ROUND_TOL)
 
     def test_determinism(self, solves):
@@ -351,6 +352,42 @@ class TestStateTemplate:
                 assert n_cells == n - k
                 assert np.array_equal(A_ub, full_A_ub[kept][:, ~pinned])
                 assert np.array_equal(b_ub, (full_b_ub - full_A_ub @ values)[kept])
+
+    def test_rows_imply_the_unit_box(self):
+        # two triangle rows of an edge sum to 0 <= x <= 1 for each of its
+        # variables, and on 1x1 the t1 row pins the only cell, so HiGHS with
+        # x >= 0 alone keeps every variable of a state's LP inside [0, 1]
+        rng = np.random.default_rng(17)
+        for rows, cols in ((1, 1), (1, 5), (3, 3), (3, 6)):
+            edges = topology(rows, cols).edges
+            states = list(seeded_prefixes(rows, cols, 6, rng))
+            solved = 0
+            for stats, prefix in states + [(states[0][0], ())]:
+                k = len(prefix)
+                A_ub, b_ub, n_cells = prefix_rows(rows, cols, prefix)
+                n_vars = A_ub.shape[1]
+                if n_vars == 0:
+                    continue
+                discord = sum(prefix[a] != prefix[b] for a, b in edges if b < k)
+                A_eq = np.zeros((2, n_vars))
+                A_eq[0, :n_cells] = A_eq[1, n_cells:] = 1.0
+                b_eq = [stats.t1 - sum(prefix), stats.t2 - discord]
+                # the min and the max of each variable
+                for c in np.vstack([np.eye(n_vars), -np.eye(n_vars)]):
+                    res = linprog(
+                        c,
+                        A_ub=A_ub if A_ub.size else None,
+                        b_ub=b_ub if A_ub.size else None,
+                        A_eq=A_eq,
+                        b_eq=b_eq,
+                        bounds=(0, None),
+                        method="highs",
+                    )
+                    assert res.status in (0, 2), (rows, cols, stats, prefix)
+                    if res.status == 0:
+                        assert (res.x >= -1e-7).all() and (res.x <= 1 + 1e-7).all()
+                        solved += 1
+            assert solved >= 2, (rows, cols)
 
     def test_complete_prefix_answers_from_counts(self, solves):
         for cells in ((1, 0, 0, 1), (1, 1, 1, 1), (0, 0, 0, 0)):

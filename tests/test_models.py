@@ -128,6 +128,15 @@ class TestGibbsIsing:
         with pytest.raises(ValueError):
             gibbs_ising(IsingParams(0, 0), 2, 2, 0, np.random.default_rng(0))
 
+    def test_overflowing_parameters_raise(self):
+        # finite parameters whose logits overflow: 2 * beta is inf and inf * 0
+        # is NaN, which no uniform is below
+        with pytest.raises(ValueError, match="NaN"):
+            gibbs_ising(IsingParams(1e308, 1e308), 2, 2, 5, np.random.default_rng(0))
+        # a logit of inf alone is a certain one, not an error
+        table = gibbs_ising(IsingParams(1e308, 0.0), 2, 2, 5, np.random.default_rng(0))
+        assert table.cells == (1, 1, 1, 1)
+
 
 class TestGibbsAutologistic:
     def test_seed_determinism(self):
@@ -162,6 +171,12 @@ class TestGibbsAutologistic:
             counts[table.cells] += 1
         stat = sum((counts[c] - n * p) ** 2 / (n * p) for c, p in dist.items())
         assert chi2.sf(stat, df=len(dist) - 1) > 0.01
+
+    def test_overflowing_parameters_raise(self):
+        # th * b1 + tv * b2 is inf - inf wherever both sums are positive
+        params = AutologisticParams(0.0, 1e308, -1e308, 0.0, 0.0)
+        with pytest.raises(ValueError, match="NaN"):
+            gibbs_autologistic(params, 3, 3, 5, np.random.default_rng(0))
 
     def test_validation(self):
         with pytest.raises(ValueError):

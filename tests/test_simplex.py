@@ -5,14 +5,20 @@ from scipy.optimize import linprog
 from isingfiber.simplex import solve_canonical
 
 
+def with_upper_bounds(A_ub, b_ub, ub):
+    """A_ub and b_ub with a row x_j <= ub_j appended for each variable."""
+    return np.vstack([A_ub, np.eye(len(ub))]), np.concatenate([b_ub, ub])
+
+
 def _solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, ub=None):
     n = len(c)
     A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
     A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-    ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float)
-    return solve_canonical(np.asarray(c, dtype=float), A_ub, b_ub, A_eq, b_eq, ub)
+    if ub is not None:
+        A_ub, b_ub = with_upper_bounds(A_ub, b_ub, np.asarray(ub, dtype=float))
+    return solve_canonical(np.asarray(c, dtype=float), A_ub, b_ub, A_eq, b_eq)
 
 
 def test_box_only():
@@ -85,7 +91,7 @@ def test_random_against_scipy():
         b_eq = rng.integers(-2, 4, m_eq).astype(float)
         ub = rng.choice([0.5, 1.0, 2.0], n)
         c = rng.integers(-4, 5, n).astype(float)
-        res = solve_canonical(c, A_ub, b_ub, A_eq, b_eq, ub)
+        res = solve_canonical(c, *with_upper_bounds(A_ub, b_ub, ub), A_eq, b_eq)
         ref = linprog(
             c,
             A_ub=A_ub if m_ub else None,
