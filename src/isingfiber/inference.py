@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -102,9 +101,18 @@ def _cv2_arrays(s: np.ndarray) -> float:
     return float(s.var(ddof=1) / mean**2)
 
 
-def _fiber_size_arrays(s: np.ndarray, shift: float) -> tuple[float, float, float, float]:
+def _fiber_size_arrays(
+    s: np.ndarray, shift: float, n_cells: int
+) -> tuple[float, float, float, float]:
     """(estimate, se, log estimate, se of the log). The logs are computed from
-    the shifted weights, so they stay finite where the estimate overflows."""
+    the shifted weights, so they stay finite where the estimate overflows.
+
+    Each se is at least the floating-point error bound of the estimate, which
+    is what is left when the weights are all equal (a fiber wholly in the
+    exact endgame, for one): log_q sums up to n_cells logs, each rounded
+    twice, and the shift, exp and mean round a few times more, each by at
+    most 2^-52 of a magnitude up to max(1, |shift|). Where the Monte Carlo se
+    is larger, both are as before, bit for bit."""
     n = s.size
     if n < 2:
         raise ValueError("fiber-size estimate needs at least two trials")
@@ -112,11 +120,14 @@ def _fiber_size_arrays(s: np.ndarray, shift: float) -> tuple[float, float, float
     sd = float(s.std(ddof=1))
     log_est = shift + math.log(mean)
     estimate = math.exp(log_est) if log_est <= 709.0 else math.inf
-    se = se_of_log = 0.0
+    rel_floor = 2.0**-52 * (2 * n_cells + 4) * max(1.0, abs(shift))
+    log_floor = log_est + math.log(rel_floor)
+    se = math.exp(log_floor) if log_floor <= 709.0 else math.inf
+    se_of_log = rel_floor
     if sd > 0:
         log_se = shift + math.log(sd) - 0.5 * math.log(n)
-        se = math.exp(log_se) if log_se <= 709.0 else math.inf
-        se_of_log = math.exp(log_se - log_est)
+        se = max(se, math.exp(log_se) if log_se <= 709.0 else math.inf)
+        se_of_log = max(se_of_log, math.exp(log_se - log_est))
     return estimate, se, log_est, se_of_log
 
 
@@ -224,6 +235,9 @@ def collect_trials(
             (rows, cols, stats, config, seed, s, min(s + chunk, n_trials))
             for s in range(0, n_trials, chunk)
         ]
+        # imported here: a serial run never loads the process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool forks all max_workers processes at once, so never ask for
         # more than there are cores or jobs
         n_procs = min(workers, os.cpu_count() or 1, len(jobs))
@@ -240,7 +254,9 @@ def report_from_batch(batch: TrialBatch, stat_name: str, observed: int) -> TestR
     s, shift = _shifted_raw(batch.accepted, batch.log_q)
     p1, p2 = _pvalues_arrays(s, batch.accepted, batch.stat_for_accepted(stat_name), observed)
     c2 = _cv2_arrays(s)
-    size_est, size_se, log_size, log_size_se = _fiber_size_arrays(s, shift)
+    size_est, size_se, log_size, log_size_se = _fiber_size_arrays(
+        s, shift, batch.rows * batch.cols
+    )
     n = batch.n_trials
     return TestReport(
         n_trials=n,

@@ -4,9 +4,9 @@ Cells are filled in raster order by one step loop, `run_trial`. At each cell
 both candidate values are screened by sound feasibility arguments; when both
 survive they are weighted by a Gaussian approximation of how many fiber
 completions each branch leaves open, which keeps the remaining discord budget
-tracking its achievable mean. In the endgame of grids wider than
-endgame.MAX_COLS the weights are the exact completion counts instead, so
-there a trial is uniform over the completions it can still reach. Every
+tracking its achievable mean. In the endgame the weights are the exact
+completion counts instead, so there a trial is uniform over the completions
+it can still reach. Every
 conditional probability is recorded exactly. `replay_log_q` runs the same
 loop with forcing uniforms, so the log proposal probability of an accepted
 table replays bit for bit by construction. The Gaussian weights' terms that
@@ -18,10 +18,9 @@ change a bit.
 
 The screens depend on the cell's place (see run_trial). In the endgame,
 whose cells endgame.zone gives, one lookup in an exact table of endgame.py
-decides each value: it passes iff some completion meets the remaining
-budget, and on wide grids the same lookup gives the number of such
-completions. Before it the screens are counting, a discord-budget window,
-toggle capacity and the exact single-one check.
+gives the number of completions that meet the remaining budget, and a value
+passes iff it is positive. Before it the screens are counting, a
+discord-budget window, toggle capacity and the exact single-one check.
 
 All screens are sound (they never exclude a value that still admits a fiber
 completion), which makes the proposal strictly positive on the whole fiber;
@@ -166,12 +165,12 @@ def run_trial(
     """One trial driven by one uniform per cell: the sampler's only step.
 
     At each raster cell the screens run for value 0, then for value 1. In the
-    endgame one lookup per value is the whole screen: the value passes iff
-    some completion places exactly the r1' remaining ones and r2' remaining
-    discordant edges. endgame.zone(rows, cols, endgame_cells) gives the
-    endgame and its table; where it gives none, a row_endgame table of
-    completion counts is built at the first endgame cell for the ones still
-    to place.
+    endgame one lookup per value is the whole screen: it gives the number of
+    completions that place exactly the r1' remaining ones and r2' remaining
+    discordant edges, and the value passes iff it is positive.
+    endgame.zone(rows, cols, endgame_cells) gives the endgame and its table
+    of counts; where it gives none, a row_endgame table is built at the
+    first endgame cell for the ones still to place.
     Before it the screens are counting (the ones still to place fit in the
     cells after it), the discord budget (the remaining discord r2' is
     nonnegative and fits in the edges not yet determined), toggle capacity
@@ -182,11 +181,12 @@ def run_trial(
     where it decides as those screens would.
     When both values pass, value 1 is taken iff the cell's uniform is below
     P[1], and the taken branch's probability enters log_q; a single feasible
-    value is a forced move. P[1] is the Gaussian branch weight, except in a
-    row table's zone, where it is N1 / (N0 + N1) for the counts N0 and N1 of
-    the completions each value leaves: there a trial is uniform over the
-    completions of the state it enters the zone with, wherever RHO_CLAMP
-    does not bind. Both are clamped to [RHO_CLAMP, 1 - RHO_CLAMP].
+    value is a forced move. P[1] is the Gaussian branch weight, except in
+    the endgame, under either table, where it is N1 / (N0 + N1) for the
+    counts N0 and N1 of the completions each value leaves: there a trial is
+    uniform over the completions of the state it enters the zone with,
+    wherever RHO_CLAMP does not bind. Both are clamped to [RHO_CLAMP,
+    1 - RHO_CLAMP].
 
     memo keeps the terms of the Gaussian branch weights that depend only on
     the cell and the ones still to place (see _branch_terms), so trials that
@@ -207,7 +207,8 @@ def run_trial(
     # the left value, so its frontier mask is 0; its digits are counts, width
     # bits each, set where it is built
     exact_cells, exact = zone(rows, cols, config.endgame_cells)
-    wmask = 0 if exact is None else (1 << cols) - 1
+    narrow = exact is not None
+    wmask = (1 << cols) - 1 if narrow else 0
     width = digit = 1
     track = step_cache is not None or exact is not None  # whether key is kept
     eps = RHO_CLAMP
@@ -249,17 +250,26 @@ def run_trial(
                     ups = [cells[u] if u >= 0 else -1 for u in topo.up[idx + 1 :]]
                     exact, width = row_endgame(ups, r1)
                     digit = (1 << width) - 1
-                # digit r2' of the entry for r1' and the frontier after the
-                # cell, in place of the screens below: a bit on narrow grids,
-                # the number of completions in a row table
+                # the number of completions for the frontier after the cell,
+                # r1' and r2', in place of the screens below: the narrow
+                # table's entry, or digit r2' of a row table's entry. The
+                # cells after this one close open_after edges
                 level = exact[rc_after]
                 w0 = (key + key) & wmask
-                ok0 = r1 <= rc_after and r2p0 >= 0 and (level[w0, r1] >> r2p0 * width) & digit
-                ok1 = (
-                    0 <= r1p <= rc_after
-                    and r2p1 >= 0
-                    and (level[w0 + 1, r1p] >> r2p1 * width) & digit
-                )
+                if narrow:
+                    ok0 = r1 <= rc_after and 0 <= r2p0 <= open_after and level[w0, r1, r2p0]
+                    ok1 = (
+                        0 <= r1p <= rc_after
+                        and 0 <= r2p1 <= open_after
+                        and level[w0 + 1, r1p, r2p1]
+                    )
+                else:
+                    ok0 = r1 <= rc_after and r2p0 >= 0 and (level[w0, r1] >> r2p0 * width) & digit
+                    ok1 = (
+                        0 <= r1p <= rc_after
+                        and r2p1 >= 0
+                        and (level[w0 + 1, r1p] >> r2p1 * width) & digit
+                    )
             else:
                 # value 0: r1' = r1
                 if r1 > rc_after or r2p0 < 0 or r2p0 > open_after:
@@ -285,9 +295,9 @@ def run_trial(
                         ok1 = True
 
             if ok0 and ok1:
-                if not wmask and rc_after <= exact_cells:
-                    # in a row table's zone ok0 and ok1 are the completion
-                    # counts, so the step is uniform over the completions
+                if rc_after <= exact_cells:
+                    # in the endgame ok0 and ok1 are the completion counts,
+                    # so the step is uniform over the completions
                     p1 = ok1 / (ok0 + ok1)
                     if p1 < eps:
                         p1 = eps

@@ -10,10 +10,9 @@ cell), the Gaussian branch weight one operation at a time
 (`reference_trial`), with no caches and no shortcuts. `run_trial` must equal
 `reference_trial` Draw for Draw, `log_q` bits included.
 
-In the sampler's endgame, the reference decides a value by `completable`,
-and on grids wider than the narrow table takes its P[1] from `completions`:
-a forward count over completions that shares no code with either endgame
-table.
+In the sampler's endgame, the reference decides a value by `completable`
+and takes its P[1] from `completions`: a forward count over completions that
+shares no code with either endgame table.
 """
 
 from dataclasses import dataclass
@@ -151,11 +150,10 @@ def endgame_length(rows, cols, config):
     return zone(rows, cols, config.endgame_cells)[0]
 
 
-def in_row_zone(rows, cols, config, idx):
-    """Whether cell idx lies in the endgame of a grid without the narrow
-    table, where P[1] comes from completion counts."""
-    reach, table = zone(rows, cols, config.endgame_cells)
-    return table is None and rows * cols - idx - 1 <= reach
+def in_zone(rows, cols, config, idx):
+    """Whether cell idx lies in the endgame, where P[1] comes from
+    completion counts."""
+    return rows * cols - idx - 1 <= endgame_length(rows, cols, config)
 
 
 def completions_after(state, stats, v):
@@ -206,7 +204,7 @@ def branch_probabilities(state, stats, config):
     r1 = stats.t1 - state.placed_ones
     rc = topo.n_cells - idx
     eps = RHO_CLAMP
-    if in_row_zone(state.rows, state.cols, config, idx):
+    if in_zone(state.rows, state.cols, config, idx):
         n0, n1 = completions_after(state, stats, 0), completions_after(state, stats, 1)
         p1 = min(max(n1 / (n0 + n1), eps), 1.0 - eps)
         return 1.0 - p1, p1

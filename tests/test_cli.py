@@ -328,7 +328,7 @@ class TestJsonOutput:
     def test_row_endgame_shapes_end_in_a_report(self, capsys, tmp_path, rows, cols, extra):
         # 1x30 has no narrow endgame table (30 columns), so the last row's
         # exact table screens its endgame; on 10x10 the narrow table trims
-        # 40 cells to the 33 whose edges fit in a 64-bit word
+        # 40 cells to the 13 whose counts fit its byte budget
         rng = np.random.default_rng(rows * cols)
         cells = (rng.random(rows * cols) < 0.3).astype(int).tolist()
         path = tmp_path / "t.txt"

@@ -1,5 +1,10 @@
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,8 +56,8 @@ def cv2(*log_q):
     return _cv2_arrays(shifted(*log_q)[0])
 
 
-def fiber_size(*log_q):
-    return _fiber_size_arrays(*shifted(*log_q))
+def fiber_size(*log_q, n_cells=9):
+    return _fiber_size_arrays(*shifted(*log_q), n_cells)
 
 
 class TestStandardizedWeights:
@@ -163,9 +168,29 @@ class TestFiberSize:
         assert se == pytest.approx(np.std([2.0, 0.0], ddof=1) / math.sqrt(2))
 
     def test_huge_logq_does_not_overflow(self):
-        est, se, _, _ = fiber_size(-800.0, -800.0)
-        assert est == math.inf
-        assert se == 0.0
+        # the se's rounding floor overflows with the estimate; the logs stay finite
+        est, se, log_est, log_se = fiber_size(-800.0, -800.0)
+        assert est == math.inf and se == math.inf
+        assert log_est == 800.0 and 0.0 < log_se < 1e-10
+
+    @pytest.mark.parametrize("size", [3, 10, 127, 4871, 20_000])
+    def test_equal_weights_get_a_rounding_floor(self, size):
+        # every trial uniform over the fiber gives log_q = -log N, and
+        # exp(log N) != N: the se must cover that rounding, not read 0
+        assert math.exp(math.log(size)) != size
+        for n_cells in (9, 16):
+            est, se, _, log_se = fiber_size(*[-math.log(size)] * 50, n_cells=n_cells)
+            assert est != size and 0.0 < abs(est - size) <= se < 1e-11 * size
+            assert log_se == pytest.approx(se / est)
+
+    def test_floor_leaves_a_larger_monte_carlo_se_alone(self):
+        rng = np.random.default_rng(4)
+        log_q = [float(-rng.exponential(2.0)) for _ in range(200)]
+        s, shift = shifted(*log_q)
+        est, se, log_est, log_se = _fiber_size_arrays(s, shift, 9)
+        log_mc = shift + math.log(float(s.std(ddof=1))) - 0.5 * math.log(s.size)
+        assert se == math.exp(log_mc)
+        assert log_se == math.exp(log_mc - log_est)
 
 
 class TestLogSpaceSafety:
@@ -231,6 +256,24 @@ class TestBatchDriver:
         assert np.array_equal(one.stat_uprime, three.stat_uprime)
         assert np.array_equal(one.stage, three.stage)
 
+    def test_serial_import_loads_no_process_pool(self):
+        # the pool is imported where a run asks for workers, so importing the
+        # package loads neither concurrent.futures nor multiprocessing
+        code = (
+            "import sys, isingfiber; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        src = str(Path(inference.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_worker_processes_are_capped_by_cores_and_jobs(self, monkeypatch):
         # the pool forks max_workers processes up front; a serial stand-in
         # records the request without starting any
@@ -249,7 +292,7 @@ class TestBatchDriver:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(inference, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         stats = SuffStats(3, 8)
         serial = collect_trials(3, 3, stats, SamplerConfig(), seed=5, n_trials=10)
         for cores, want in ((None, 1), (2, 2), (64, 10)):  # 10 trials make 10 jobs
