@@ -185,8 +185,9 @@ def build_parser() -> _Parser:
         type=int,
         default=SamplerConfig.endgame_cells,
         help="endgame length: a cell followed by at most this many cells is screened "
-        "exactly and weighted by completion counts, up to the reach endgame.zone gives "
-        "the shape; 0 turns the endgame off",
+        "exactly and weighted by completion counts where endgame.zone's table holds its "
+        "state, with at most the zone's cap of ones left (default %(default)s); "
+        "0 turns the endgame off",
     )
     ts.add_argument("--t1", type=int, default=None, help="override the conditioning t1")
     ts.add_argument("--t2", type=int, default=None, help="override the conditioning t2")

@@ -8,34 +8,38 @@ value passes the endgame screen iff its count is positive, and where both
 values pass run_trial takes P[1] = N1 / (N0 + N1) from the two counts.
 
 The narrow table serves grids at most MAX_COLS wide: a backward transfer-matrix
-recursion over the last L raster cells. A completion's discord depends on the
-prefix only through its last `cols` values, the frontier w (bit j holds cell
-k - 1 - j): every undetermined cell's up neighbour lies among them, and its
-left neighbour is either the newest of them or undetermined. levels[m] is a
-(2^cols, m + 1, e + 1) array of uint16 counts, indexed [w, r1, r2], where e is
-the number of edges the m cells close. No count of level m exceeds C(m, m // 2),
-the most ways to place any number of ones in m cells, and that stays below
-2^16 up to MAX_REACH cells; so the table covers the last L cells, or the
-longest suffix of them that is at most MAX_REACH cells long and takes at most
-TABLE_BYTES. The table depends on the shape and the first cell it covers only,
-so one cached table serves every test on a shape and every L that trims to
-the same cell.
+recursion over the last `reach` raster cells. A completion's discord depends
+on the prefix only through its last `cols` values, the frontier w (bit j
+holds cell k - 1 - j): every undetermined cell's up neighbour lies among
+them, and its left neighbour is either the newest of them or undetermined.
+Level m stores only the states with r1 <= cap, where few ones are left and
+few r2 values have completions: r2 is at most 4 r1 + cols + 1, since every
+discordant edge meets one of the r1 ones or one of the cols + 1 edges from
+the frontier. Each (w, r1) keeps the counts of its nonzero r2 span [lo, hi],
+one after another in one flat uint16 array per level, and one packed uint32
+index entry per (w, r1), at (r1 << cols) + w, holds the span's offset in
+that array, lo and hi (see FIELD). `cap` is the largest value for which the
+asked cells fit in TABLE_BYTES with every count below 2^16; entries with
+r1 <= c do not depend on the cap they were built under, so one sweep over
+the counts of every candidate finds it, holding no table, and one more
+builds the table at the cap chosen.
 
 `row_endgame` serves every other grid, over its last min(L, cols - 1) cells.
 They lie in the last row, below determined cells, so w is the left value of
 the first of them. The table depends on the row above, so each trial builds
 its own. Its counts are packed as the digits of Python ints, with no width
-cap.
+cap, and its cap covers every r1.
 
-`zone` is the endgame's single entry. It states the width rule, the two trim
-rules and the reach, and hands out the narrow table, which `_levels` builds
-and caches by its first cell; run_trial reads the rule from it and nowhere
-else, and builds a row_endgame where zone gives no table.
+`zone` is the endgame's single entry. It states the width rule, the cap
+rule and the reach, and hands out the narrow table, which it caches by the
+length asked for; run_trial reads the rule from it and nowhere else, and
+builds a row_endgame where zone gives no table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -43,36 +47,103 @@ import numpy as np
 from .grid import topology
 
 MAX_COLS = 10  # 1,024 frontier values
-# the longest reach whose counts fit in uint16: C(18, 9) = 48,620 < 2^16 <= C(19, 9)
-MAX_REACH = 18
-TABLE_BYTES = 1 << 22  # 13 cells on 10x10 (3.84 MB), all of 3x3 and 4x4
+TABLE_BYTES = 1 << 22  # 32 cells on 10x10 at cap 5 (3.78 MB), all of 3x3 and 4x4
+# an index entry is offset << 2 FIELD | lo << FIELD | hi; lo and hi are at
+# most 4 cap + cols + 1, and a level's offsets stay below 2^(32 - 2 FIELD)
+FIELD = 6
 
 
-@lru_cache(maxsize=8)
-def _levels(rows: int, cols: int, first: int) -> tuple:
-    """The narrow table's levels from the last cell back to cell `first`."""
-    topo = topology(rows, cols)
+def _level(topo, k: int, nxt: np.ndarray, cap: int) -> tuple[np.ndarray, int]:
+    """The counts of cells k.. from those of cells k + 1.. (nxt), for level
+    m = n - k: a uint16 array counts[r1, w, r2] for r1 <= min(cap, m) and r2
+    up to the discord those r1 ones can reach, and the first r1 at which some
+    count reached 2^16 (cap + 1 if none did). nxt must hold the rows
+    r1 <= min(cap, m - 1), none of them wrapped.
+
+    Placing v at cell k takes frontier w to (w << 1 | v) and adds the discord
+    d = (v != up) + (v != left) for the neighbours cell k has. Split w as
+    (up, rest) and rest as (rest', left): cur[r1 + v, (up, rest), r2 + d]
+    gathers nxt[r1, 2 rest + v, r2], so each (up, left, v) is one slice add.
+    """
+    cols = topo.cols
+    m = topo.n_cells - k
+    rows = min(cap, m) + 1
+    width = min(topo.n_edges - topo.determined_edges[k], 4 * (rows - 1) + cols + 1) + 1
+    has_up, has_left = k >= cols, k % cols != 0
+    split = 1 + has_left
+    cur = np.zeros((rows, 1 << cols, width), np.uint16)
+    into = cur.reshape(rows, 2, -1, split, width)  # [r1, up, rest', left, r2]
+    src = nxt.reshape(len(nxt), -1, split, 2, nxt.shape[2])  # [r1, rest', left, v, r2]
+    wrapped = cap + 1
+    for up, left, v in product((0, 1), range(split), (0, 1)):
+        d = (v != up) * has_up + (v != left) * has_left
+        j = min(rows - v, len(nxt))
+        span = min(nxt.shape[2], width - d)
+        add = src[:j, :, left, v, :span]
+        out = into[v : v + j, up, :, left, d : d + span]
+        out += add
+        # value 0 came first into a zero block; a wrapped sum is below its term
+        if v:
+            hits = np.flatnonzero((out < add).any(axis=(1, 2)))
+            if len(hits):
+                wrapped = min(wrapped, 1 + int(hits[0]))
+    return cur, wrapped
+
+
+def _spans(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lo and hi of the nonzero r2 of each (r1, w) row; lo = 1, hi = 0 where
+    it has none."""
+    nonzero = counts != 0
+    some = nonzero.any(axis=2)
+    lo = np.where(some, nonzero.argmax(axis=2), 1)
+    hi = np.where(some, counts.shape[2] - 1 - nonzero[..., ::-1].argmax(axis=2), 0)
+    return lo, hi
+
+
+def _cap(topo, reach: int) -> int:
+    """The largest cap for which the table over the last `reach` cells takes
+    at most TABLE_BYTES and holds no count of 2^16 or more: n where every r1
+    fits, -1 where not even r1 = 0 does. One sweep over the levels keeps the
+    rows r1 <= cap only, and lowers cap as soon as a row wraps or the rows up
+    to it have taken more than TABLE_BYTES, since later levels only add."""
+    n, size = topo.n_cells, 1 << topo.cols
+    cap = n
+    spent = np.zeros(n + 1, np.int64)  # the bytes each r1's entries take so far
+    counts = np.ones((1, size, 1), np.uint16)
+    for m in range(reach + 1):
+        if m:
+            counts, wrapped = _level(topo, n - m, counts, cap)
+            cap = min(cap, wrapped - 1)
+            counts = counts[: cap + 1]
+        lo, hi = _spans(counts)
+        spent[: len(counts)] += 4 * size + 2 * (hi - lo + 1).sum(axis=1)
+        over = np.flatnonzero(np.cumsum(spent[: len(counts)]) > TABLE_BYTES)
+        if len(over):
+            cap = int(over[0]) - 1
+            if cap < 0:
+                return cap
+            counts = counts[: cap + 1]
+    return cap
+
+
+def _table(topo, reach: int, cap: int) -> tuple:
+    """The narrow table's levels 0..reach at cap, each as (index, counts)
+    memoryviews (see the module docstring)."""
     n = topo.n_cells
-    size = 1 << cols
-    w = np.arange(size)
-    left = w & 1  # cell k - 1
-    up = w >> (cols - 1)  # cell k - cols
-    after0 = (w << 1) & (size - 1)  # the frontier once cell k is placed
-    after1 = after0 | 1
-    nxt = np.ones((size, 1, 1), dtype=np.uint16)
-    levels = [memoryview(nxt)]
-    for k in range(n - 1, first - 1, -1):
-        m, e = n - k, nxt.shape[2] - 1  # cells from k on; edges the cells after k close
-        closes = (k >= cols) + (k % cols != 0)  # edges cell k closes
-        d0 = up * (k >= cols) + left * (k % cols != 0)  # discord cell k adds with value 0
-        d1 = closes - d0
-        cur = np.zeros((size, m + 1, e + closes + 1), dtype=np.uint16)
-        for v, after, d in ((0, after0, d0), (1, after1, d1)):
-            for shift in range(closes + 1):
-                at = np.flatnonzero(d == shift)
-                cur[at, v : v + m, shift : shift + e + 1] += nxt[after[at]]
-        levels.append(memoryview(cur))
-        nxt = cur
+    levels = []
+    counts = np.ones((1, 1 << topo.cols, 1), np.uint16)
+    for m in range(reach + 1):
+        if m:
+            counts = _level(topo, n - m, counts, cap)[0]
+        lo, hi = _spans(counts)
+        length = (hi - lo + 1).ravel()
+        offset = np.cumsum(length) - length
+        assert hi.max() < 1 << FIELD and length.sum() <= 1 << (32 - 2 * FIELD)
+        r2 = np.arange(counts.shape[2])
+        keep = lo[..., None] <= r2
+        keep &= r2 <= hi[..., None]
+        index = (offset << 2 * FIELD | lo.ravel() << FIELD | hi.ravel()).astype(np.uint32)
+        levels.append((memoryview(index), memoryview(counts[keep])))
     return tuple(levels)
 
 
@@ -102,31 +173,31 @@ def row_endgame(ups, ones: int) -> tuple[list[dict], int]:
 
 
 @lru_cache(maxsize=8)
-def zone(rows: int, cols: int, cells: int) -> tuple[int, tuple | None]:
+def zone(rows: int, cols: int, cells: int) -> tuple[int, int, tuple | None]:
     """The endgame for a shape and `cells`, the endgame length asked for, as
-    (reach, table): a cell followed by at most reach cells is screened
-    exactly, and its branch probability is a ratio of completion counts. On
-    grids at most MAX_COLS wide, table is the narrow table's levels over the
-    last `cells` raster cells, trimmed to the longest suffix that has at most
-    MAX_REACH cells, so that no uint16 count wraps, and takes at most
-    TABLE_BYTES; reach is len(table) - 1, and levels[m] is a (2^cols, m + 1,
-    e + 1) memoryview of uint16 counts for the e edges the last m cells close.
-    Every length that trims to the same first cell gets the same cached
-    levels. On every other grid, reach is min(cells, cols - 1) and table is
+    (reach, cap, table): a cell followed by at most reach cells, reached with
+    at most cap ones still to place, is screened exactly, and its branch
+    probability is a ratio of completion counts. A trial that enters the
+    zone stays in it, since r1 never rises.
+
+    On grids at most MAX_COLS wide, reach is min(cells, n) and table is the
+    narrow table over the last reach cells: levels[m] is (index, counts),
+    whose entry at (r1 << cols) + w, for r1 <= min(cap, m), packs the offset
+    of the (w, r1) row's counts in counts and the bounds lo <= hi of its
+    nonzero r2 (see FIELD and the module docstring). cap is the largest value
+    for which the table takes at most TABLE_BYTES and holds no count of 2^16
+    or more: 5 on 10x10 at 32 cells (3.78 MB), where cap 6 would hold a count
+    past 16 bits, and n, every r1, where the whole table fits, as on 3x3 and
+    4x4. Where not even cap 0 fits, the zone is empty: (-1, -1, None). On
+    every other grid, reach is min(cells, cols - 1), cap is n and table is
     None: each trial builds a row_endgame over those cells. Cached: run_trial
     asks for it once per trial."""
+    n = rows * cols
     if cols > MAX_COLS:
-        return min(cells, cols - 1), None
+        return min(cells, cols - 1), n, None
     topo = topology(rows, cols)
-    n = topo.n_cells
-
-    def table_bytes(first):
-        return sum(
-            2 * (n - k + 1) * (topo.n_edges - topo.determined_edges[k] + 1) << cols
-            for k in range(first, n + 1)
-        )
-
-    first = max(n - cells, n - MAX_REACH, 0)
-    while table_bytes(first) > TABLE_BYTES:
-        first += 1
-    return n - first, _levels(rows, cols, first)
+    reach = min(cells, n)
+    cap = _cap(topo, reach)
+    if cap < 0:
+        return -1, -1, None
+    return reach, cap, _table(topo, reach, cap)

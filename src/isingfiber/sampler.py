@@ -17,18 +17,19 @@ memo holds the same floats the inline expressions gave, so it does not
 change a bit.
 
 The screens depend on the cell's place (see run_trial). In the endgame,
-whose cells endgame.zone gives, one lookup in an exact table of endgame.py
-gives the number of completions that meet the remaining budget, and a value
-passes iff it is positive. Before it the screens are counting, a
-discord-budget window, toggle capacity and the exact single-one check.
+the cells near the end reached with few ones left, as endgame.zone says,
+one lookup in an exact table of endgame.py gives the number of completions
+that meet the remaining budget, and a value passes iff it is positive.
+Before it the screens are counting, a discord-budget window, toggle
+capacity and the exact single-one check.
 
 All screens are sound (they never exclude a value that still admits a fiber
 completion), which makes the proposal strictly positive on the whole fiber;
 rejection handles everything the screens fail to catch, and rejected trials
 simply carry zero importance weight. The exact endgame leaves nothing to
-catch after its first cell: a trial rejects there or before, or not at all,
-and on a nonempty fiber of a grid that lies wholly in the endgame no trial
-rejects.
+catch after its first cell: a trial that enters it stays in it, and rejects
+there or before, or not at all; on a nonempty fiber of a grid that lies
+wholly in the endgame no trial rejects.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 # not called here: bench/tracer.py wraps this attribute
 from .cutlp import state_lp_feasible  # noqa: F401
-from .endgame import row_endgame, zone
+from .endgame import FIELD, row_endgame, zone
 from .grid import BinaryTable, SuffStats, topology
 
 # Gaussian branch-weight shape: on large grids the variance of the
@@ -88,7 +89,7 @@ RHO_CLAMP = 1e-3  # floor on branch probabilities; keeps q > 0 on the fiber
 
 @dataclass
 class SamplerConfig:
-    endgame_cells: int = 20
+    endgame_cells: int = 32
 
     def __post_init__(self):
         if self.endgame_cells < 0:
@@ -168,9 +169,15 @@ def run_trial(
     endgame one lookup per value is the whole screen: it gives the number of
     completions that place exactly the r1' remaining ones and r2' remaining
     discordant edges, and the value passes iff it is positive.
-    endgame.zone(rows, cols, endgame_cells) gives the endgame and its table
-    of counts; where it gives none, a row_endgame table is built at the
-    first endgame cell for the ones still to place.
+    endgame.zone(rows, cols, endgame_cells) gives the endgame as (reach,
+    cap, table): a cell is in it iff at most reach cells follow it and at
+    most cap ones are left to place, tested once per cell. r1 never rises
+    and the cells left only fall, so a trial that enters stays, every count
+    it looks up is stored, and it is never rejected after its first endgame
+    cell. The narrow table stores the counts of each (frontier, r1') as the
+    span of r2' that has completions, and a lookup outside the span reads
+    0; where zone gives no table, a row_endgame table is built at the first
+    endgame cell for the ones still to place.
     Before it the screens are counting (the ones still to place fit in the
     cells after it), the discord budget (the remaining discord r2' is
     nonnegative and fits in the edges not yet determined), toggle capacity
@@ -203,13 +210,15 @@ def run_trial(
     """
     topo = topology(rows, cols)
     capacity = topo.toggle_capacity
-    # the endgame runs where rc_after <= exact_cells. A row table reads only
-    # the left value, so its frontier mask is 0; its digits are counts, width
-    # bits each, set where it is built
-    exact_cells, exact = zone(rows, cols, config.endgame_cells)
+    # the endgame runs where rc_after <= exact_cells and r1 <= cap. A row
+    # table reads only the left value, so its frontier mask is 0; its digits
+    # are counts, width bits each, set where it is built. A narrow table's
+    # index entry packs a span's offset above its lo and hi, FIELD bits each
+    exact_cells, cap, exact = zone(rows, cols, config.endgame_cells)
     narrow = exact is not None
     wmask = (1 << cols) - 1 if narrow else 0
     width = digit = 1
+    lo_at, offset_at, field = FIELD, 2 * FIELD, (1 << FIELD) - 1
     track = step_cache is not None or exact is not None  # whether key is kept
     eps = RHO_CLAMP
     one_minus_eps = 1.0 - eps
@@ -243,7 +252,8 @@ def run_trial(
             r2p1 = r2 - nb_det + ones
             f1a1 = f1a0 + fw
             r1p = r1 - 1
-            if rc_after <= exact_cells:
+            endgame = rc_after <= exact_cells and r1 <= cap
+            if endgame:
                 if exact is None:
                     # the first endgame cell this trial computes: the cells
                     # after it lie below determined ones
@@ -251,19 +261,25 @@ def run_trial(
                     exact, width = row_endgame(ups, r1)
                     digit = (1 << width) - 1
                 # the number of completions for the frontier after the cell,
-                # r1' and r2', in place of the screens below: the narrow
-                # table's entry, or digit r2' of a row table's entry. The
-                # cells after this one close open_after edges
-                level = exact[rc_after]
+                # r1' and r2', in place of the screens below: the count at r2'
+                # in the narrow table's (w, r1') span, zero outside it, or
+                # digit r2' of a row table's entry
                 w0 = (key + key) & wmask
                 if narrow:
-                    ok0 = r1 <= rc_after and 0 <= r2p0 <= open_after and level[w0, r1, r2p0]
-                    ok1 = (
-                        0 <= r1p <= rc_after
-                        and 0 <= r2p1 <= open_after
-                        and level[w0 + 1, r1p, r2p1]
-                    )
+                    index, counts = exact[rc_after]
+                    ok0 = ok1 = 0
+                    if r1 <= rc_after:
+                        entry = index[(r1 << cols) + w0]
+                        lo = entry >> lo_at & field
+                        if lo <= r2p0 <= entry & field:
+                            ok0 = counts[(entry >> offset_at) + r2p0 - lo]
+                    if 0 <= r1p <= rc_after:
+                        entry = index[(r1p << cols) + w0 + 1]
+                        lo = entry >> lo_at & field
+                        if lo <= r2p1 <= entry & field:
+                            ok1 = counts[(entry >> offset_at) + r2p1 - lo]
                 else:
+                    level = exact[rc_after]
                     ok0 = r1 <= rc_after and r2p0 >= 0 and (level[w0, r1] >> r2p0 * width) & digit
                     ok1 = (
                         0 <= r1p <= rc_after
@@ -295,7 +311,7 @@ def run_trial(
                         ok1 = True
 
             if ok0 and ok1:
-                if rc_after <= exact_cells:
+                if endgame:
                     # in the endgame ok0 and ok1 are the completion counts,
                     # so the step is uniform over the completions
                     p1 = ok1 / (ok0 + ok1)

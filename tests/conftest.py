@@ -92,7 +92,7 @@ def row_tables(monkeypatch):
 
 
 class _CountedLevel:
-    """An endgame level that records each lookup."""
+    """An endgame level's index that records each lookup."""
 
     def __init__(self, level, lookups):
         self.level, self.lookups = level, lookups
@@ -111,10 +111,10 @@ def lookups(monkeypatch):
     zone = sampler.zone
 
     def counted(*args):
-        reach, levels = zone(*args)
+        reach, cap, levels = zone(*args)
         if levels is None:
-            return reach, None
-        return reach, tuple(_CountedLevel(level, made) for level in levels)
+            return reach, cap, None
+        return reach, cap, tuple((_CountedLevel(index, made), counts) for index, counts in levels)
 
     monkeypatch.setattr(sampler, "zone", counted)
     return made

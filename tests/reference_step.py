@@ -144,16 +144,13 @@ def frontier_of(cells, cols, k):
     return tuple(cells[c] if c >= 0 else 0 for c in range(k - cols, k))
 
 
-def endgame_length(rows, cols, config):
-    """How many cells follow the first endgame cell of run_trial: the reach
-    of endgame.zone."""
-    return zone(rows, cols, config.endgame_cells)[0]
-
-
-def in_zone(rows, cols, config, idx):
-    """Whether cell idx lies in the endgame, where P[1] comes from
-    completion counts."""
-    return rows * cols - idx - 1 <= endgame_length(rows, cols, config)
+def in_zone(state, stats, config):
+    """Whether the next cell lies in the endgame, where a value is decided by
+    `completable` and P[1] comes from completion counts: at most reach cells
+    follow it and at most cap ones are left to place (endgame.zone)."""
+    reach, cap, _ = zone(state.rows, state.cols, config.endgame_cells)
+    rc_after = state.rows * state.cols - state.next_index - 1
+    return rc_after <= reach and stats.t1 - state.placed_ones <= cap
 
 
 def completions_after(state, stats, v):
@@ -176,7 +173,7 @@ def feasible_values(state, stats, config, endgame=True):
     idx = state.next_index
     rc_after = topo.n_cells - idx - 1
     nb_det = (topo.up[idx] >= 0) + (topo.left[idx] >= 0)
-    if endgame and rc_after <= endgame_length(state.rows, state.cols, config):
+    if endgame and in_zone(state, stats, config):
         return tuple(v for v in (0, 1) if completions_after(state, stats, v))
     out = []
     for v in (0, 1):
@@ -204,7 +201,7 @@ def branch_probabilities(state, stats, config):
     r1 = stats.t1 - state.placed_ones
     rc = topo.n_cells - idx
     eps = RHO_CLAMP
-    if in_zone(state.rows, state.cols, config, idx):
+    if in_zone(state, stats, config):
         n0, n1 = completions_after(state, stats, 0), completions_after(state, stats, 1)
         p1 = min(max(n1 / (n0 + n1), eps), 1.0 - eps)
         return 1.0 - p1, p1

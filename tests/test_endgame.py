@@ -1,12 +1,13 @@
 """The exact endgame tables: their verdicts, and the proposal they make exact."""
 
 import math
+import tracemalloc
 from itertools import groupby, product
 
 import numpy as np
 import pytest
 
-from isingfiber.endgame import MAX_COLS, MAX_REACH, TABLE_BYTES, row_endgame, zone
+from isingfiber.endgame import FIELD, MAX_COLS, TABLE_BYTES, row_endgame, zone
 from isingfiber.grid import BinaryTable, SuffStats, t1, t2, topology
 from isingfiber.inference import collect_trials, report_from_batch
 from isingfiber.models import IsingParams, gibbs_ising
@@ -27,17 +28,68 @@ def fibers(rows, cols):
     return out
 
 
+def unpack(entry):
+    """An index entry, or an int64 array of them, as (offset, lo, hi)."""
+    field = (1 << FIELD) - 1
+    return entry >> 2 * FIELD, entry >> FIELD & field, entry & field
+
+
+def span(level, cols, w, r1):
+    """The (w, r1) row's stored span of a narrow level: (offset, lo, hi)."""
+    return unpack(level[0][(r1 << cols) + w])
+
+
+def stored(level, cols, w, r1, r2):
+    """The count a narrow level stores for (w, r1, r2), 0 outside the span."""
+    offset, lo, hi = span(level, cols, w, r1)
+    return level[1][offset + r2 - lo] if lo <= r2 <= hi else 0
+
+
 def table_count(rows, cols, prefix, r1, r2):
-    """The narrow table's count for a prefix and a remaining budget (r1, r2)."""
+    """The narrow table's count for a prefix and a remaining budget (r1, r2)
+    with r1 <= cap."""
     k = len(prefix)
-    topo = topology(rows, cols)
-    if r1 < 0 or r2 < 0 or r1 > rows * cols - k or r2 > topo.n_edges - topo.determined_edges[k]:
+    m = rows * cols - k
+    _, cap, levels = zone(rows, cols, CFG.endgame_cells)
+    assert r1 <= cap
+    if r1 < 0 or r1 > m:
         return 0
     w = 0
     for j in range(min(cols, k)):
         w |= prefix[k - 1 - j] << j
-    level = zone(rows, cols, CFG.endgame_cells)[1][rows * cols - k]
-    return level[w, r1, r2]
+    return stored(levels[m], cols, w, r1, r2)
+
+
+def frontier(w, cols):
+    """The frontier values of w, oldest first, as completions takes them."""
+    return tuple((w >> (cols - 1 - j)) & 1 for j in range(cols))
+
+
+def dense_counts(rows, cols, reach, top):
+    """Each level m = 0..reach of the narrow recursion as dense uint64 counts
+    [w, r1, r2] for r1 <= min(top, m): an independent rebuild, one gather per
+    (value, discord) as the dense uint16 table was built, wide enough that no
+    count wraps."""
+    topo = topology(rows, cols)
+    n = topo.n_cells
+    size = 1 << cols
+    w = np.arange(size)
+    after0 = (w << 1) & (size - 1)
+    nxt = np.ones((size, 1, 1), dtype=np.uint64)
+    yield nxt
+    for m in range(1, reach + 1):
+        k = n - m
+        e = topo.n_edges - topo.determined_edges[k]
+        closes = (k >= cols) + (k % cols != 0)
+        d0 = (w >> (cols - 1)) * (k >= cols) + (w & 1) * (k % cols != 0)
+        cur = np.zeros((size, min(top, m) + 1, e + 1), dtype=np.uint64)
+        for v, d in ((0, d0), (1, closes - d0)):
+            j = min(cur.shape[1] - v, nxt.shape[1])
+            for shift in range(closes + 1):
+                at = np.flatnonzero(d == shift)
+                cur[at, v : v + j, shift : shift + nxt.shape[2]] += nxt[after0[at] | v, :j]
+        yield cur
+        nxt = cur
 
 
 def clamped(table, stats, count):
@@ -71,7 +123,8 @@ class TestExactProposal:
         # so every accepted table whose path the clamp leaves alone carries
         # the weight 1 / q = the fiber's size
         n = rows * cols
-        assert zone(rows, cols, CFG.endgame_cells)[0] >= n - 1
+        reach, cap, _ = zone(rows, cols, CFG.endgame_cells)
+        assert reach >= n - 1 and cap == n
         by_stats = sorted(fibers(rows, cols).items(), key=lambda kv: (kv[0].t1, kv[0].t2))
         memo = {}  # replays of one shape share a memo
         unclamped = 0
@@ -94,24 +147,71 @@ class TestExactProposal:
 
 
 def table_bytes(levels):
-    return sum(level.nbytes for level in levels)
+    return sum(index.nbytes + counts.nbytes for index, counts in levels)
+
+
+def decoded(level, cols, rows):
+    """A narrow level's index as (offset, lo, hi) arrays [r1, w] for r1 < rows."""
+    return unpack(np.asarray(level[0]).astype(np.int64).reshape(rows, 1 << cols))
+
+
+def dense_spans(counts):
+    """Whether each [r1, w] row of dense counts [r1, w, r2] has a nonzero r2,
+    and the first and last such r2."""
+    nonzero = counts != 0
+    last = counts.shape[2] - 1 - nonzero[..., ::-1].argmax(axis=2)
+    return nonzero.any(axis=2), nonzero.argmax(axis=2), last
+
+
+def check_cap(rows, cols, cells, reach, cap, binds):
+    """zone(rows, cols, cells) has this reach and cap, its spans are the
+    nonzero spans of a uint64 rebuild and every count it stores equals the
+    rebuild's, so none wrapped. Of the two rules, binds names those that one
+    more r1 would break: "bits", a count of 2^16 or more, and "bytes", more
+    than TABLE_BYTES."""
+    got_reach, got_cap, levels = zone(rows, cols, cells)
+    assert (got_reach, got_cap) == (reach, cap)
+    assert table_bytes(levels) <= TABLE_BYTES
+    largest = more_bytes = 0
+    for m, counts in enumerate(dense_counts(rows, cols, reach, cap + 1)):
+        counts = counts.transpose(1, 0, 2)  # [r1, w, r2]
+        stored_rows = min(cap, m) + 1
+        some, lo, hi = dense_spans(counts[:stored_rows])
+        offset, got_lo, got_hi = decoded(levels[m], cols, stored_rows)
+        assert (got_lo[some] == lo[some]).all() and (got_hi[some] == hi[some]).all(), m
+        assert (got_lo[~some] > got_hi[~some]).all(), m
+        length = np.maximum(got_hi - got_lo + 1, 0).ravel()
+        assert (offset.ravel() == np.cumsum(length) - length).all(), m
+        r2 = np.arange(counts.shape[2])
+        keep = (got_lo[..., None] <= r2) & (r2 <= got_hi[..., None])
+        assert (counts[:stored_rows][keep] == np.asarray(levels[m][1])).all(), m
+        # the table one more r1 would give
+        if len(counts) > cap + 1:
+            largest = max(largest, int(counts[cap + 1].max()))
+        some, lo, hi = dense_spans(counts[: min(cap + 1, m) + 1])
+        more_bytes += 4 * some.size + 2 * int(np.where(some, hi - lo + 1, 0).sum())
+    assert (largest >= 1 << 16) == ("bits" in binds)
+    assert (more_bytes > TABLE_BYTES) == ("bytes" in binds)
 
 
 class TestTableVerdicts:
     @pytest.mark.parametrize("rows, cols", [(6, 6), (5, 8)])
     def test_late_prefixes_match_a_completion_search(self, rows, cols):
-        # for prefixes of random tables that reach into the table, every
-        # budget near the true remainder gets the search's count
+        # for prefixes of random tables that reach into the table with at
+        # most cap - 2 ones left, every budget near the true remainder gets
+        # the search's count
         rng = np.random.default_rng(rows * 100 + cols)
         topo = topology(rows, cols)
         n = rows * cols
-        first = n - zone(rows, cols, CFG.endgame_cells)[0]
+        reach, cap, _ = zone(rows, cols, CFG.endgame_cells)
         seen = {True: 0, False: 0}
         for _ in range(60):
             cells = tuple(int(v) for v in rng.random(n) < rng.uniform(0.1, 0.6))
-            k = int(rng.integers(first, n + 1))
+            ones_after = np.cumsum(cells[::-1])[::-1].tolist() + [0]
+            ks = [k for k in range(n - reach, n + 1) if ones_after[k] <= cap - 2]
+            k = int(rng.choice(ks))
             prefix = cells[:k]
-            r1 = sum(cells[k:])
+            r1 = ones_after[k]
             r2 = sum(cells[a] != cells[b] for a, b in topo.edges if max(a, b) >= k)
             frontier = frontier_of(prefix, cols, k)
             for d1 in (-2, -1, 0, 1, 2):
@@ -124,80 +224,151 @@ class TestTableVerdicts:
 
     @pytest.mark.parametrize("rows, cols", [(3, 3), (2, 5), (4, 4), (6, 6)])
     def test_every_count_matches_a_completion_count(self, rows, cols):
-        # every entry of every level, including the zeros, is the number of
-        # completions of the last m cells for its frontier and budget: the
-        # whole grid on the small shapes, the 18 cells MAX_REACH allows on 6x6
+        # every stored (w, r1 <= cap, r2) count is the number of completions
+        # of the last m cells for its frontier and budget, and every r2
+        # outside the row's span has none: the whole grid with a full cap on
+        # the small shapes, 32 cells at cap 5 on 6x6
         n = rows * cols
-        levels = zone(rows, cols, CFG.endgame_cells)[1]
-        assert len(levels) == min(n, MAX_REACH) + 1
+        topo = topology(rows, cols)
+        reach, cap, levels = zone(rows, cols, CFG.endgame_cells)
+        assert len(levels) == reach + 1 == min(n, CFG.endgame_cells) + 1
+        assert cap == (5 if n == 36 else n)
         for m, level in enumerate(levels):
-            counts = np.asarray(level)
-            for w, r1, r2 in np.ndindex(counts.shape):
-                frontier = tuple((w >> (cols - 1 - j)) & 1 for j in range(cols))
-                expected = completions(rows, cols, n - m, frontier, r1, r2)
-                assert counts[w, r1, r2] == expected, (m, w, r1, r2)
-        completions.cache_clear()  # 6x6 fills it with about 440,000 entries
+            e = topo.n_edges - topo.determined_edges[n - m]
+            for w, r1 in product(range(1 << cols), range(min(cap, m) + 1)):
+                for r2 in range(e + 1):
+                    expected = completions(rows, cols, n - m, frontier(w, cols), r1, r2)
+                    assert stored(level, cols, w, r1, r2) == expected, (m, w, r1, r2)
+        completions.cache_clear()  # 6x6 fills it with several 100,000 entries
+
+    def test_random_10x10_rows_match_a_completion_count(self):
+        # 200 seeded (m, w, r1 <= cap) rows of levels 14-32 on 10x10, where
+        # the old dense table did not reach: every r2 gets the count's number
+        # of completions
+        rng = np.random.default_rng(1010)
+        topo = topology(10, 10)
+        reach, cap, levels = zone(10, 10, CFG.endgame_cells)
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            m = int(rng.integers(14, reach + 1))
+            w = int(rng.integers(0, 1 << 10))
+            r1 = int(rng.integers(0, cap + 1))
+            for r2 in range(topo.n_edges - topo.determined_edges[100 - m] + 1):
+                expected = completions(10, 10, 100 - m, frontier(w, 10), r1, r2)
+                assert stored(levels[m], 10, w, r1, r2) == expected, (m, w, r1, r2)
+                seen[expected > 0] += 1
+        completions.cache_clear()
+        assert seen[True] > 1000 and seen[False] > 1000
 
     def test_width_and_bit_caps(self):
-        assert zone(2, MAX_COLS + 2, 20)[1] is None
-        # on 10x10 the byte budget binds first: the last 13 cells take 3.84 MB
-        # and the last 14 would take more than TABLE_BYTES
-        assert len(zone(10, 10, 20)[1]) == 14
-        assert table_bytes(zone(10, 10, 20)[1]) == 3_840_000
-        assert table_bytes(zone(10, 10, 20)[1]) + (2 * 15 * 28 << 10) > TABLE_BYTES
-        assert len(zone(10, 10, 40)[1]) == 14
-        # a single column is small: the 16-bit bound alone trims it
-        assert len(zone(40, 1, 40)[1]) == MAX_REACH + 1
-        # and all of 3x3 and 4x4 fit
-        assert len(zone(3, 3, 20)[1]) == 10 and len(zone(4, 4, 20)[1]) == 17
+        assert zone(2, MAX_COLS + 2, 20) == (MAX_COLS + 1, 2 * (MAX_COLS + 2), None)
+        # on 10x10 the 32 cells asked for hold r1 <= 5 in 3.78 MB; r1 <= 6
+        # would hold a count past 16 bits, and take 4.89 MB too
+        assert table_bytes(zone(10, 10, 32)[2]) == 3_784_044
+        check_cap(10, 10, 32, 32, 5, ("bits", "bytes"))
+        # at 40 cells both rules keep r1 = 5 out, and the cap is 4 (3.58 MB);
+        # at 20 cells only the byte budget binds: r1 <= 10 would take more
+        # than TABLE_BYTES, with every count inside 16 bits
+        assert table_bytes(zone(10, 10, 40)[2]) == 3_581_234
+        check_cap(10, 10, 40, 40, 4, ("bits", "bytes"))
+        check_cap(10, 10, 20, 20, 9, ("bytes",))
+        # and all of 3x3 and 4x4 fit with every r1
+        assert zone(3, 3, 32)[:2] == (9, 9) and zone(4, 4, 32)[:2] == (16, 16)
+        assert len(zone(3, 3, 32)[2]) == 10 and len(zone(4, 4, 32)[2]) == 17
 
     def test_16_bit_bound_trims_5x6_and_no_count_wraps(self):
-        # 5x6 at 40 cells: the 19-cell table would fit the byte budget, but
-        # C(19, 9) completions do not fit in 16 bits, so the table stops at
-        # MAX_REACH = 18 cells
-        assert math.comb(MAX_REACH, MAX_REACH // 2) < 1 << 16 <= math.comb(19, 9)
-        reach, levels = zone(5, 6, 40)
-        assert reach == MAX_REACH
-        topo = topology(5, 6)
-        n = topo.n_cells
-        longer = sum(
-            2 * (n - k + 1) * (topo.n_edges - topo.determined_edges[k] + 1) << 6
-            for k in range(n - MAX_REACH - 1, n + 1)
-        )
-        assert table_bytes(levels) <= longer <= TABLE_BYTES
-        # over r2 the completions of m cells with r1 ones number C(m, r1)
-        # exactly, for every frontier; a count that wrapped would lose 2^16
-        for m, level in enumerate(levels):
-            counts = np.asarray(level).astype(np.int64)
-            totals = counts.sum(axis=2)
-            assert (totals == [math.comb(m, r1) for r1 in range(m + 1)]).all(), m
+        # 5x6 and 6x6 at 32 cells: the whole table would fit the byte budget
+        # many times over, but r1 = 6 would hold a count past 16 bits, so the
+        # cap is 5; every stored count equals a uint64 rebuild's
+        for rows, cols in ((5, 6), (6, 6)):
+            check_cap(rows, cols, 32, min(rows * cols, 32), 5, ("bits",))
+            _, cap, levels = zone(rows, cols, 32)
+            assert table_bytes(levels) < TABLE_BYTES // 16
+            # over r2 the completions of m cells with r1 ones number C(m, r1)
+            # exactly, for every frontier; a count that wrapped would lose 2^16
+            for m, level in enumerate(levels):
+                for w, r1 in product(range(1 << cols), range(min(cap, m) + 1)):
+                    offset, lo, hi = span(level, cols, w, r1)
+                    assert sum(level[1][offset : offset + hi - lo + 1]) == math.comb(m, r1), m
 
 
 class TestZone:
     def test_reach_never_falls_as_the_length_rises(self):
-        # on 10x10 the narrow table covers the last L cells up to its byte
-        # budget's reach, 13 cells, and past it stays there
-        reaches = [zone(10, 10, cells)[0] for cells in range(61)]
-        assert reaches == [min(cells, 13) for cells in range(61)]
-        assert all(zone(10, 10, cells)[1] is not None for cells in (0, 13, 40, 60))
-        # on 5x6 only the 16-bit bound binds
-        assert [zone(5, 6, cells)[0] for cells in range(41)] == [min(c, 18) for c in range(41)]
-        assert zone(2, MAX_COLS + 2, 40) == (MAX_COLS + 1, None)
+        # on 10x10 the narrow table covers the last L cells; every r1 fits up
+        # to 17 cells, and past them the cap falls as L rises
+        assert [zone(10, 10, cells)[0] for cells in range(61)] == list(range(61))
+        caps = [zone(10, 10, cells)[1] for cells in range(61)]
+        assert caps[:18] == [100] * 18 and caps[18:21] == [13, 10, 9]
+        assert caps[32] == 5 and caps[40] == 4 and caps[60] == 3
+        assert all(a >= b for a, b in zip(caps, caps[1:]))
+        # on 5x6 only the 16-bit bound binds, from 22 cells on
+        reach_cap = [zone(5, 6, cells)[:2] for cells in range(41)]
+        assert reach_cap[:22] == [(c, 30) for c in range(22)]
+        assert reach_cap[22] == (22, 8) and reach_cap[40] == (30, 5)
+        assert zone(2, MAX_COLS + 2, 40) == (MAX_COLS + 1, 24, None)
+        # where not even r1 = 0 fits, the zone is empty: 700 levels of 6 KB
+        assert zone(70, 10, 700) == (-1, -1, None)
 
-    def test_lengths_past_the_reach_share_one_table(self):
-        # on 10x10 every L from 13 up trims to the same first cell, so they
-        # get one cached table, built once
+    def test_a_cold_build_fits_its_memory_bound(self):
+        # the cap is chosen by a sweep that holds no table, and the one
+        # build at that cap holds its table and two levels of counts: a cold
+        # zone(10, 10, 32) peaks at most 1.5 MB above what it keeps
         from isingfiber import endgame
 
+        topology(10, 10)
         endgame.zone.cache_clear()
-        endgame._levels.cache_clear()
-        table = zone(10, 10, 13)[1]
-        assert all(zone(10, 10, cells)[1] is table for cells in range(14, 61))
-        assert endgame._levels.cache_info().misses == 1
+        tracemalloc.start()
+        try:
+            table = zone(10, 10, 32)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = table_bytes(table)
+        assert held <= TABLE_BYTES and peak <= held + 1_500_000, (held, peak)
+        assert zone(10, 10, 32)[2] is table
+
+    def test_a_trial_in_the_zone_stays_there_and_dies_only_on_entry(self, monkeypatch):
+        # on criterion 3's tables, a trial's first lookup marks the cell
+        # where it enters the zone. It looks up a count at every later cell
+        # it reaches, so it never leaves, and it is rejected there or not at
+        # all: every later state has a completion. Each accepted trial enters
+        # by the cell where rc_after = cap - 1, where r1 <= cap must hold
+        import isingfiber.sampler as sampler
+
+        reach, cap, levels = zone(10, 10, CFG.endgame_cells)
+        looked = []
+
+        class Recorded:
+            def __init__(self, m, index):
+                self.m, self.index = m, index
+
+            def __getitem__(self, at):
+                looked.append(self.m)
+                return self.index[at]
+
+        recorded = tuple((Recorded(m, index), counts) for m, (index, counts) in enumerate(levels))
+        monkeypatch.setattr(sampler, "zone", lambda *args: (reach, cap, recorded))
+        entered = at_entry = 0
+        for i in range(10):
+            rng = np.random.default_rng((99, i))
+            stats = SuffStats.of(gibbs_ising(IsingParams(-2.0, 0.1), 10, 10, 1001, rng))
+            for u in uniform_rows(7000 + i, 100, 0, 300):
+                looked.clear()
+                draw = run_trial(10, 10, stats, CFG, u)
+                if draw.accepted:
+                    assert looked and max(looked) >= cap - 1
+                if looked:
+                    entered += 1
+                    entry = 99 - max(looked)
+                    last = 99 if draw.accepted else draw.stage
+                    assert sorted(set(looked)) == list(range(99 - last, 100 - entry))
+                    at_entry += not draw.accepted
+                    assert draw.accepted or draw.stage == entry, (i, entry, draw.stage)
+        assert entered > 2500 and at_entry < entered // 100
 
     def test_trimmed_table_runs_at_40_cells(self, lp_calls, row_tables, lookups):
-        # --endgame-cells 40 on 10x10 screens the last 13 cells with the
-        # narrow table, builds no row table, and equals the reference
+        # --endgame-cells 40 on 10x10 screens the last 40 cells at cap 4 with
+        # the narrow table, builds no row table, and equals the reference
         config = SamplerConfig(endgame_cells=40)
         table = gibbs_ising(IsingParams(-2.0, 0.1), 10, 10, rng=np.random.default_rng((99, 0)))
         stats = SuffStats.of(table)
