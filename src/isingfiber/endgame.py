@@ -31,9 +31,9 @@ its own. Its counts are packed as the digits of Python ints, with no width
 cap, and its cap covers every r1.
 
 `zone` is the endgame's single entry. It states the width rule, the cap
-rule and the reach, and hands out the narrow table, which it caches by the
-length asked for; run_trial reads the rule from it and nowhere else, and
-builds a row_endgame where zone gives no table.
+rule and the reach, and hands out the narrow table, cached by its reach so
+that every length of at least n cells shares it; run_trial reads the rule
+from it and nowhere else, and builds a row_endgame where zone gives none.
 """
 
 from __future__ import annotations
@@ -195,8 +195,13 @@ def zone(rows: int, cols: int, cells: int) -> tuple[int, int, tuple | None]:
     n = rows * cols
     if cols > MAX_COLS:
         return min(cells, cols - 1), n, None
+    return _narrow(rows, cols, min(cells, n))
+
+
+@lru_cache(maxsize=8)
+def _narrow(rows: int, cols: int, reach: int) -> tuple[int, int, tuple | None]:
+    """zone on a grid at most MAX_COLS wide, cached by the reach."""
     topo = topology(rows, cols)
-    reach = min(cells, n)
     cap = _cap(topo, reach)
     if cap < 0:
         return -1, -1, None

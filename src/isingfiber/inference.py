@@ -176,6 +176,8 @@ _SUB_BLOCK = 256
 
 
 def _run_range(rows, cols, stats, config, seed, start, stop):
+    """The outcome arrays of trials start..stop. A block keeps its accepted
+    cells in one buffer, one byte each: no BinaryTable is made per trial."""
     n_cells = rows * cols
     count = stop - start
     accepted = np.zeros(count, dtype=bool)
@@ -183,7 +185,7 @@ def _run_range(rows, cols, stats, config, seed, start, stop):
     stage = np.full(count, -1, dtype=np.int32)
     stat_u = np.full(count, -1, dtype=np.int32)
     stat_up = np.full(count, -1, dtype=np.int32)
-    tables = np.empty((_SUB_BLOCK, n_cells), dtype=np.int8)  # a block's accepted tables
+    tables = bytearray(_SUB_BLOCK * n_cells)  # a block's accepted cells, one byte each
     memo = {}  # run_trial's branch-weight terms, shared by the range's trials
     step_cache = new_step_cache(rows, cols)
     for block in range(start, stop, _SUB_BLOCK):
@@ -195,16 +197,17 @@ def _run_range(rows, cols, stats, config, seed, start, stop):
                 rows, cols, stats, config, uniforms[i - block], memo, step_cache=step_cache
             )
             k = i - start
-            if draw.accepted:
+            if draw.cells is None:
+                stage[k] = draw.stage
+            else:
                 accepted[k] = True
                 log_q[k] = draw.log_q
-                tables[n_acc] = draw.table.cells
+                tables[n_acc * n_cells : (n_acc + 1) * n_cells] = draw.cells
                 n_acc += 1
-            else:
-                stage[k] = draw.stage
         if n_acc:
             at = np.flatnonzero(accepted[block - start : block_stop - start]) + (block - start)
-            stat_u[at], stat_up[at] = window_stats(tables[:n_acc].reshape(-1, rows, cols))
+            block_tables = np.frombuffer(tables, np.int8, n_acc * n_cells)
+            stat_u[at], stat_up[at] = window_stats(block_tables.reshape(-1, rows, cols))
     return accepted, log_q, stage, stat_u, stat_up
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, log
 from struct import Struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,26 +97,33 @@ class SamplerConfig:
             raise ValueError("endgame_cells must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Draw:
-    """One sampling trial: an accepted table with its exact log proposal
-    probability, or a rejection with the cell index where it died."""
+class Draw(NamedTuple):
+    """One sampling trial as a light tuple-like record: an accepted table's
+    cells, shape and exact log proposal probability, or a rejection with the
+    cell index where it died. An accepted draw's BinaryTable is built, by
+    the validating constructor, only when .table is read."""
 
-    table: BinaryTable | None
+    cells: tuple[int, ...] | None
+    rows: int | None
+    cols: int | None
     log_q: float | None
     stage: int | None
 
     @property
     def accepted(self) -> bool:
-        return self.table is not None
+        return self.cells is not None
+
+    @property
+    def table(self) -> BinaryTable | None:
+        return None if self.cells is None else BinaryTable(self.rows, self.cols, self.cells)
 
     @classmethod
     def accept(cls, table: BinaryTable, log_q: float) -> "Draw":
-        return cls(table, log_q, None)
+        return cls(table.cells, table.rows, table.cols, log_q, None)
 
     @classmethod
     def reject(cls, stage: int) -> "Draw":
-        return cls(None, None, stage)
+        return cls(None, None, None, None, stage)
 
 
 def _single_one_feasible(topo, cells, idx: int, v: int, f1_after: int, r2p: int) -> bool:
@@ -205,8 +213,10 @@ def run_trial(
     not depend on the memo.
 
     step_cache, keyed by the exact determined prefix, memoizes each step's
-    verdicts, P[1] and state updates; it pays only on small grids, where
-    prefixes recur across trials (see new_step_cache).
+    verdicts, P[1], its two logs and state updates, so a hit calls no log;
+    it pays only on small grids, where prefixes recur across trials (see
+    new_step_cache). An accepted Draw carries the cells and the shape, and
+    builds its BinaryTable only when .table is read.
     """
     topo = topology(rows, cols)
     capacity = topo.toggle_capacity
@@ -359,17 +369,19 @@ def run_trial(
                         elif p1 > one_minus_eps:
                             p1 = one_minus_eps
             if step_cache is not None:
-                step_cache[key] = (ok0, ok1, p1, r2p0, f1a0, r2p1, f1a1)
+                lp1, lp0 = (log(p1), log(1.0 - p1)) if ok0 and ok1 else (0.0, 0.0)
+                step = step_cache[key] = (ok0, ok1, p1, lp1, lp0, r2p0, f1a0, r2p1, f1a1)
         else:
-            ok0, ok1, p1, r2p0, f1a0, r2p1, f1a1 = step
+            ok0, ok1, p1, lp1, lp0, r2p0, f1a0, r2p1, f1a1 = step
 
+        # step is the cache entry and holds the logs; without a cache, take them here
         if ok0 and ok1:
             if us[idx] < p1:
                 v = 1
-                log_q += log(p1)
+                log_q += lp1 if step else log(p1)
             else:
                 v = 0
-                log_q += log(1.0 - p1)
+                log_q += lp0 if step else log(1.0 - p1)
         elif ok1:
             v = 1
         elif ok0:
@@ -390,7 +402,7 @@ def run_trial(
 
     if r1 or r2:
         return Draw.reject(n)
-    return Draw.accept(BinaryTable(rows, cols, tuple(cells)), log_q)
+    return Draw(tuple(cells), rows, cols, log_q, None)
 
 
 class OffFiberError(ValueError):
@@ -419,8 +431,8 @@ def replay_log_q(
     draw = run_trial(table.rows, table.cols, stats, config, forcing, memo)
     if not draw.accepted:
         raise OffFiberError(f"the proposal rejects the table at cell {draw.stage}")
-    if draw.table != table:
-        idx = next(i for i, (a, b) in enumerate(zip(draw.table.cells, table.cells)) if a != b)
+    if draw.cells != table.cells:
+        idx = next(i for i, (a, b) in enumerate(zip(draw.cells, table.cells)) if a != b)
         raise OffFiberError(
             f"value {table.cells[idx]} at cell {idx} is outside the proposal support"
         )

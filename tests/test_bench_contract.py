@@ -2,10 +2,13 @@
 
 bench/tracer.py replaces package attributes by name while a test runs and
 counts trials through inference.run_trial, and bench/worker.py regenerates
-single trials with the sampler's positional call forms. A change that drops
-one of those attributes, or stops calling inference.run_trial once per trial,
-breaks the traced benchmark run; these tests catch it here. They load the
-tracer from bench/ and only read it.
+single trials with the sampler's positional call forms. Both read the Draw
+a trial returns: the tracer its `accepted` bool and a rejection's `stage`,
+an int it adds to the wasted cells, and the worker `table.cells`, a tuple
+of 0/1, and the float `log_q`. A change that drops one of those attributes,
+changes what the Draw holds, or stops calling inference.run_trial once per
+trial, breaks the traced benchmark run; these tests catch it here. They load
+the tracer from bench/ and only read it.
 """
 
 import importlib.util
@@ -80,17 +83,27 @@ def test_worker_call_forms(tables, shape):
     for i in range(6):
         uniforms = sampler.uniform_rows(seed, n_cells, i, 1)[0]
         draw = sampler.run_trial(rows, cols, stats, config, uniforms, {}, None)
-        assert draw.accepted == batch.accepted[i]
+        assert type(draw.accepted) is bool and draw.accepted == batch.accepted[i]
         if draw.accepted:
             accepted += 1
-            assert draw.log_q == batch.log_q[i]
+            cells = draw.table.cells
+            assert type(cells) is tuple and len(cells) == n_cells and set(cells) <= {0, 1}
+            assert type(draw.log_q) is float and draw.log_q == batch.log_q[i]
             # the worker's 3-positional call, and the call that shares a memo
             assert sampler.replay_log_q(draw.table, stats, config) == draw.log_q
             assert sampler.replay_log_q(draw.table, stats, config, memo).hex() == draw.log_q.hex()
         else:
-            assert draw.stage == batch.stage[i]
+            assert type(draw.stage) is int and draw.stage == batch.stage[i]
     assert accepted
     assert list(memo) == [(rows, cols)]
+    # no (2, 2) table exists, so the trial rejects; the tracer's wrapper adds
+    # its stage, the cell where it died, to the wasted cells
+    tracer = load_tracer()()
+    traced = tracer._run_trial(sampler.run_trial)
+    draw = traced(rows, cols, SuffStats(2, 2), config, uniforms, {}, None)
+    assert draw.accepted is False and draw.log_q is None and draw.table is None
+    assert type(draw.stage) is int and 0 <= draw.stage <= n_cells
+    assert (tracer.trials, tracer.accepted, tracer.wasted_cells) == (1, 0, draw.stage)
 
 
 def test_traced_gibbs_set_up(tables):

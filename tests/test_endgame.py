@@ -317,6 +317,7 @@ class TestZone:
 
         topology(10, 10)
         endgame.zone.cache_clear()
+        endgame._narrow.cache_clear()
         tracemalloc.start()
         try:
             table = zone(10, 10, 32)[2]
@@ -326,6 +327,14 @@ class TestZone:
         held = table_bytes(table)
         assert held <= TABLE_BYTES and peak <= held + 1_500_000, (held, peak)
         assert zone(10, 10, 32)[2] is table
+
+    def test_lengths_past_the_grid_share_one_table(self):
+        # the table is cached by its reach, min(cells, n), so every length
+        # of at least n cells hands out one object
+        full = zone(10, 10, 100)
+        assert full[0] == 100 and zone(10, 10, 120)[:2] == full[:2]
+        assert zone(10, 10, 120)[2] is full[2]
+        assert zone(3, 3, 9)[2] is zone(3, 3, 32)[2]
 
     def test_a_trial_in_the_zone_stays_there_and_dies_only_on_entry(self, monkeypatch):
         # on criterion 3's tables, a trial's first lookup marks the cell

@@ -24,7 +24,7 @@ from isingfiber.inference import (
     run_exact_test,
 )
 from isingfiber.models import IsingParams, gibbs_ising
-from isingfiber.sampler import SamplerConfig
+from isingfiber.sampler import Draw, SamplerConfig, run_trial, uniform_rows
 
 from conftest import naive_u, naive_u_prime
 
@@ -220,8 +220,6 @@ class TestWindowStats:
 
     def test_batch_statistics_of_accepted_trials(self):
         # without the endgame screen some trials reject, across three blocks
-        from isingfiber.sampler import run_trial, uniform_rows
-
         stats, cfg = SuffStats(5, 6), SamplerConfig(endgame_cells=0)
         batch = collect_trials(4, 4, stats, cfg, seed=3, n_trials=600)
         assert 0 < batch.n_accepted < 600
@@ -245,6 +243,52 @@ class TestBatchDriver:
         assert (batch.stat_u[acc] >= 0).all()
         assert (batch.stage[~acc] >= 0).all()
         assert np.isfinite(batch.log_q[acc]).all()
+
+    def test_the_trial_loop_builds_no_table(self, monkeypatch):
+        # a Draw carries its cells, and the batch reads them: no BinaryTable
+        # is made per trial, on a 3x3 fiber or on criterion 4's 20x20 table 0.
+        # An accepted Draw's table is built when read
+        ising = gibbs_ising(IsingParams(-3.0, 0.1), 20, 20, rng=np.random.default_rng((99, 0)))
+        shapes = [(3, 3, SuffStats(4, 6), 300), (20, 20, SuffStats.of(ising), 12)]
+        built = []
+        post_init = BinaryTable.__post_init__
+        monkeypatch.setattr(
+            BinaryTable, "__post_init__", lambda self: built.append(self) or post_init(self)
+        )
+        for rows, cols, stats, trials in shapes:
+            assert collect_trials(rows, cols, stats, SamplerConfig(), 4, trials).n_accepted
+        assert not built
+        for rows, cols, stats, _ in shapes:
+            u = uniform_rows(4, rows * cols, 0, 1)[0]
+            draw = run_trial(rows, cols, stats, SamplerConfig(), u)
+            assert draw.accepted and not built
+            assert draw.table == BinaryTable(rows, cols, draw.cells) and len(built) == 2
+            assert draw.table.cells is draw.cells
+            built.clear()
+        monkeypatch.undo()
+        forced = run_trial(2, 2, SuffStats(4, 0), SamplerConfig(), [0.5] * 4)
+        assert forced == Draw.accept(BinaryTable(2, 2, (1, 1, 1, 1)), 0.0)
+        assert Draw.reject(3) == Draw.reject(3) != Draw.reject(4)
+        assert Draw.reject(3).table is None and not Draw.reject(3).accepted
+
+    def test_a_block_of_wide_trials_keeps_its_memory(self):
+        # a block's accepted cells are kept one byte each in one buffer: one
+        # 256-trial batch on criterion 4's 20x20 table 0 peaks at 1.75 MB
+        # (the uniforms, the memo and the buffer). Kept as a list of cell
+        # tuples, a block reads 2.63 MB; with its uniforms as Python floats,
+        # 4.22 MB
+        import tracemalloc
+
+        ising = gibbs_ising(IsingParams(-3.0, 0.1), 20, 20, rng=np.random.default_rng((99, 0)))
+        stats = SuffStats.of(ising)
+        collect_trials(20, 20, stats, SamplerConfig(), 1, 16)
+        tracemalloc.start()
+        try:
+            collect_trials(20, 20, stats, SamplerConfig(), 2, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000, peak
 
     def test_worker_count_does_not_change_results(self):
         stats = SuffStats(3, 8)

@@ -12,6 +12,7 @@ from isingfiber.sampler import (
     OffFiberError,
     SamplerConfig,
     _single_one_feasible,
+    new_step_cache,
     replay_log_q,
     run_trial,
     uniform_rows,
@@ -333,6 +334,30 @@ class TestBranchMemo:
         assert 0 < entries < len(branch_cells)
         assert any(idx >= n - 20 for idx in branch_cells)  # some in the zone
         assert len(calls) == len(branch_cells) + 4 * entries
+
+
+class TestStepCache:
+    @pytest.mark.parametrize("size, stats", [(3, SuffStats(4, 6)), (4, SuffStats(6, 16))])
+    def test_hits_spare_the_logs(self, size, stats, monkeypatch):
+        # an entry keeps the logs of both branch probabilities, so a second
+        # pass over the same uniforms calls no log, and its log_q are those
+        # of a run without the cache, bit for bit
+        import isingfiber.sampler as sampler
+
+        n, trials = size * size, 200
+        uniforms = uniform_rows(n + 3, n, 0, trials)
+        cold = [run_trial(size, size, stats, CFG, u, {}, None) for u in uniforms]
+        cache = new_step_cache(size, size)
+        memo = {}
+        first = [run_trial(size, size, stats, CFG, u, memo, cache) for u in uniforms]
+        calls = []
+        monkeypatch.setattr(sampler, "log", lambda x: calls.append(x) or math.log(x))
+        warm = [run_trial(size, size, stats, CFG, u, memo, cache) for u in uniforms]
+        monkeypatch.undo()
+        assert not calls
+        assert cold == first == warm
+        assert all(d.accepted for d in cold) and any(d.log_q < 0.0 for d in cold)
+        assert [d.log_q.hex() for d in warm] == [d.log_q.hex() for d in cold]
 
 
 class TestSingleOne:
