@@ -5,8 +5,8 @@ carry the cell values of a table, grid edges (set E2) carry adjacent-pair
 discordances, and the fiber becomes the lattice points of the cut polytope cut
 by the two statistic hyperplanes. The polytope is approximated from the
 outside by the triangle inequalities through w over every grid edge plus the
-eight square inequalities per unit square, so LP feasibility and LP cell
-bounds are sound: they never exclude a genuine completion, but may fail to
+eight square inequalities per unit square, so the LP cell bounds are sound:
+they never exclude a value that a genuine completion takes, but may fail to
 exclude an impossible one.
 
 The unit box takes no rows: two triangle rows of an edge uv sum to
@@ -19,9 +19,9 @@ The determined cells and the edges between them are not variables: rows
 inside the determined region hold automatically, and every other row sees
 the determined values only in its right-hand side. prefix_rows writes those
 rows from the prefix on each call, and no other code builds an LP:
-state_lp_feasible and cell_bounds (the min and max of one free cell) solve
-over the rows of the state's prefix, and the membership check of a full cut
-vector reads the rows of the empty prefix.
+cell_bounds (the min and max of one free cell) solves over the rows of the
+state's prefix, and the membership check of a full cut vector reads the rows
+of the empty prefix. The sampler solves no LP.
 """
 
 from __future__ import annotations
@@ -114,14 +114,17 @@ def prefix_rows(rows: int, cols: int, prefix: Sequence[int]) -> tuple[np.ndarray
     return A_ub, np.array(b_ub, dtype=float), n_cells
 
 
-def _solve(
-    rows: int, cols: int, stats: SuffStats, prefix, cell: int | None = None
-) -> list[np.ndarray] | None:
-    """The optimal points of the LP of the raster prefix, or None if it is
-    infeasible: one feasibility solve when cell is None, else the min and then
-    the max of the cell's apex variable. r1 or r2 out of range, or a complete
-    prefix, answers from the counts alone. Raises ValueError on a prefix or
-    cell that grid.check_prefix refuses.
+def cell_bounds(rows: int, cols: int, stats: SuffStats, prefix, cell: int) -> CellBounds:
+    """Integerized LP bounds for one undetermined cell after a raster prefix.
+
+    The min and the max of the cell's apex variable over the rows of the
+    state: the prefix, with r1 ones and r2 discords left to place, both
+    counted from the prefix; r1 or r2 out of range answers infeasible with
+    no solve. Sound for the relaxation: every fiber completion of the prefix
+    has its cell value inside [lo, hi]. When the rounded interval is empty
+    the fiber itself must be empty, so that case also reports infeasible.
+    The arguments are those of oracle.exact_cell_bounds, and so is the check
+    that refuses a bad prefix or cell with ValueError.
     """
     check_prefix(rows, cols, prefix, cell)
     A_ub, b_ub, n_cells = prefix_rows(rows, cols, prefix)
@@ -131,56 +134,21 @@ def _solve(
     discord = sum(prefix[a] != prefix[b] for a, b in topology(rows, cols).edges if b < k)
     r1, r2 = stats.t1 - sum(prefix), stats.t2 - discord
     if not (0 <= r1 <= n_cells and 0 <= r2 <= n_vars - n_cells):
-        return None
-    if n_vars == 0:
-        return []  # a complete prefix with r1 = r2 = 0
+        return CellBounds("infeasible")
     A_eq = np.zeros((2, n_vars))
     A_eq[0, :n_cells] = A_eq[1, n_cells:] = 1.0
     b_eq = np.array([float(r1), float(r2)])
     c = np.zeros(n_vars)
-    if cell is not None:
-        c[cell - k] = 1.0
-    points = []
-    for objective in [c] if cell is None else [c, -c]:
+    c[cell - k] = 1.0
+    optima = []
+    for objective in (c, -c):
         res = solve_canonical(objective, A_ub, b_ub, A_eq, b_eq)
         if res.status != "optimal":
-            return None
-        points.append(res.x)
-    return points
-
-
-def state_lp_feasible(rows: int, cols: int, stats: SuffStats, prefix) -> bool:
-    """LP feasibility of a raster state: the prefix, with r1 ones and r2
-    discords left to place.
-
-    Equivalent to the full suspension LP with the determined cells and the
-    edges between them pinned: constraints entirely inside the determined
-    region hold automatically, because the determined part induces a genuine
-    cut semimetric, and every other row is a row of prefix_rows. A complete
-    prefix is feasible iff r1 = r2 = 0.
-    """
-    return _solve(rows, cols, stats, prefix) is not None
-
-
-def cell_bounds(rows: int, cols: int, stats: SuffStats, prefix, cell: int) -> CellBounds:
-    """Integerized LP bounds for one undetermined cell after a raster prefix.
-
-    The min and the max of the cell's apex variable over the state's rows.
-    Sound for the relaxation: every fiber completion of the prefix has its
-    cell value inside [lo, hi]. When the rounded interval is empty the fiber
-    itself must be empty, so that case also reports infeasible. The
-    arguments are those of oracle.exact_cell_bounds, and so is the check
-    that refuses a bad prefix or cell with ValueError.
-    """
-    points = _solve(rows, cols, stats, prefix, cell)
-    if points is None:
-        return CellBounds("infeasible")
-    k = len(prefix)
-    lo = max(0, int(np.ceil(points[0][cell - k] - ROUND_TOL)))
-    hi = min(1, int(np.floor(points[1][cell - k] + ROUND_TOL)))
-    if lo > hi:
-        return CellBounds("infeasible")
-    return CellBounds("bounded", lo, hi)
+            return CellBounds("infeasible")
+        optima.append(res.x[cell - k])
+    lo = max(0, int(np.ceil(optima[0] - ROUND_TOL)))
+    hi = min(1, int(np.floor(optima[1] + ROUND_TOL)))
+    return CellBounds("bounded", lo, hi) if lo <= hi else CellBounds("infeasible")
 
 
 def violates_cut_inequalities(vector, rows: int, cols: int) -> bool:

@@ -80,9 +80,8 @@ class SuffStats:
 
     def validate_for(self, rows: int, cols: int) -> None:
         """Check the shape and the ranges it sets; raises ValueError if violated."""
-        check_shape(rows, cols)
-        n_cells = rows * cols
-        n_edges = 2 * rows * cols - rows - cols
+        topo = topology(rows, cols)  # checks the shape first
+        n_cells, n_edges = topo.n_cells, topo.n_edges
         if self.t1 > n_cells:
             raise ValueError(f"t1={self.t1} exceeds cell count {n_cells}")
         if self.t2 > n_edges:

@@ -21,7 +21,9 @@ the cells near the end reached with few ones left, as endgame.zone says,
 one lookup in an exact table of endgame.py gives the number of completions
 that meet the remaining budget, and a value passes iff it is positive.
 Before it the screens are counting, a discord-budget window, toggle
-capacity and the exact single-one check.
+capacity and the exact single-one check. No screen solves an LP: the
+cut-polytope bounds of cutlp are a separate tool, and the endgame tables
+take the place the paper gives the LP relaxation.
 
 All screens are sound (they never exclude a value that still admits a fiber
 completion), which makes the proposal strictly positive on the whole fiber;
@@ -41,10 +43,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-# not called here: bench/tracer.py wraps this attribute
-from .cutlp import state_lp_feasible  # noqa: F401
 from .endgame import FIELD, row_endgame, zone
 from .grid import BinaryTable, SuffStats, topology
+
+# a placeholder: bench/tracer.py patches this name, and nothing calls it
+state_lp_feasible = None
 
 # Gaussian branch-weight shape: on large grids the variance of the
 # future-discord model is scaled down to steer trials firmly onto the feasible
@@ -200,7 +203,7 @@ def run_trial(
     the endgame, under either table, where it is N1 / (N0 + N1) for the
     counts N0 and N1 of the completions each value leaves: there a trial is
     uniform over the completions of the state it enters the zone with,
-    wherever RHO_CLAMP does not bind. Both are clamped to [RHO_CLAMP,
+    wherever RHO_CLAMP does not bind. One clamp maps either to [RHO_CLAMP,
     1 - RHO_CLAMP].
 
     memo keeps the terms of the Gaussian branch weights that depend only on
@@ -325,10 +328,6 @@ def run_trial(
                     # in the endgame ok0 and ok1 are the completion counts,
                     # so the step is uniform over the completions
                     p1 = ok1 / (ok0 + ok1)
-                    if p1 < eps:
-                        p1 = eps
-                    elif p1 > one_minus_eps:
-                        p1 = one_minus_eps
                 else:
                     # Gaussian branch weight: the counting base (remaining-ones
                     # density) times a Gaussian likelihood of the remaining
@@ -356,18 +355,20 @@ def run_trial(
                     omp = 1.0 - p
                     m = e0 + (fro1 - f1a0) * p + f1a0 * omp
                     lw0 = log_1_mu - (r2p0 - m) ** 2 / two_var0 - half_log_var0
-                    # P[1] floored at eps on both sides keeps q > 0 on the fiber
+                    # past |d| = 36 the clamp below binds; the guards keep
+                    # exp from overflowing
                     d = lw0 - lw1
                     if d > 36.0:
-                        p1 = eps
+                        p1 = 0.0
                     elif d < -36.0:
-                        p1 = one_minus_eps
+                        p1 = 1.0
                     else:
                         p1 = 1.0 / (1.0 + exp(d))
-                        if p1 < eps:
-                            p1 = eps
-                        elif p1 > one_minus_eps:
-                            p1 = one_minus_eps
+                # P[1] floored at eps on both sides keeps q > 0 on the fiber
+                if p1 < eps:
+                    p1 = eps
+                elif p1 > one_minus_eps:
+                    p1 = one_minus_eps
             if step_cache is not None:
                 lp1, lp0 = (log(p1), log(1.0 - p1)) if ok0 and ok1 else (0.0, 0.0)
                 step = step_cache[key] = (ok0, ok1, p1, lp1, lp0, r2p0, f1a0, r2p1, f1a1)

@@ -16,8 +16,6 @@ The pivot rules refer to variable labels, so they choose what a full tableau
 would choose: Dantzig's entering rule with ties to the lowest label, the ratio
 test with ties to the lowest basic label, and Bland's rule after STALL_LIMIT
 pivots without progress, so the solver is deterministic and cannot cycle.
-Phase 2 is skipped when c is all zeros, which makes a feasibility check a
-single phase.
 """
 
 from __future__ import annotations
@@ -105,14 +103,6 @@ def _run_simplex(T: np.ndarray, basic: np.ndarray, nonbasic: np.ndarray) -> str:
     raise SimplexIterationLimit(f"simplex iteration limit ({MAX_ITER} pivots) exceeded")
 
 
-def _basic_solution(T: np.ndarray, basic: np.ndarray, n: int) -> np.ndarray:
-    x = np.zeros(n)
-    structural = basic < n
-    x[basic[structural]] = T[:-1, -1][structural]
-    np.clip(x, 0.0, None, out=x)
-    return x
-
-
 def solve_canonical(
     c: np.ndarray,
     A_ub: np.ndarray,
@@ -153,9 +143,6 @@ def solve_canonical(
     status = _run_simplex(T, basic, nonbasic)
     if status != "optimal" or -T[-1, -1] > FEAS_TOL:
         return SimplexResult("infeasible")
-    if not c.any():
-        x = _basic_solution(T, basic, n)
-        return SimplexResult("optimal", float(c @ x), x)
 
     # drive leftover artificials out of the basis, dropping redundant rows
     keep = np.ones(m + 1, dtype=bool)
@@ -183,5 +170,8 @@ def solve_canonical(
     if status == "unbounded":
         return SimplexResult("unbounded")
 
-    x = _basic_solution(T, basic, n)
+    x = np.zeros(n)
+    structural = basic < n
+    x[basic[structural]] = T[:-1, -1][structural]
+    np.clip(x, 0.0, None, out=x)
     return SimplexResult("optimal", float(c @ x), x)

@@ -66,17 +66,13 @@ def fibers_3x3():
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Every state_lp_feasible call, made through the sampler's attribute or
-    cutlp's."""
+    """The arguments of every simplex solve the LP makes, (c, A_ub, b_ub,
+    A_eq, b_eq): each cutlp entry solves through cutlp's solve_canonical."""
     import isingfiber.cutlp as cutlp
-    import isingfiber.sampler as sampler
 
     calls = []
-    for module in (sampler, cutlp):
-        solve = module.state_lp_feasible
-        monkeypatch.setattr(
-            module, "state_lp_feasible", lambda *args, solve=solve: calls.append(args) or solve(*args)
-        )
+    solve = cutlp.solve_canonical
+    monkeypatch.setattr(cutlp, "solve_canonical", lambda *args: calls.append(args) or solve(*args))
     return calls
 
 

@@ -32,7 +32,7 @@ TRACED = [
     ("inference", "uniform_rows"),
     ("inference", "u_stat"),
     ("inference", "u_prime_stat"),
-    ("sampler", "state_lp_feasible"),
+    ("sampler", "state_lp_feasible"),  # a None placeholder that nothing calls
     ("cutlp", "solve_canonical"),
     ("models", "gibbs_ising"),
     ("grid", "topology"),

@@ -1,32 +1,23 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import isingfiber
 from isingfiber.cutlp import (
     ROUND_TOL,
     CellBounds,
     cell_bounds,
     cut_semimetric,
     prefix_rows,
-    state_lp_feasible,
     suspension_semimetric,
     violates_cut_inequalities,
 )
 from isingfiber.grid import BinaryTable, SuffStats, t1, t2, topology
 from isingfiber.oracle import exact_cell_bounds, fiber_members
 from isingfiber.simplex import solve_canonical
-
-
-@pytest.fixture
-def solves(monkeypatch):
-    """The arguments of every solve_canonical call cutlp makes:
-    (c, A_ub, b_ub, A_eq, b_eq)."""
-    import isingfiber.cutlp as cutlp
-
-    calls = []
-    solve = cutlp.solve_canonical
-    monkeypatch.setattr(cutlp, "solve_canonical", lambda *args: calls.append(args) or solve(*args))
-    return calls
 
 
 def full_lp(rows, cols, prefix, stats):
@@ -66,10 +57,9 @@ def full_lp(rows, cols, prefix, stats):
     return np.array(A_ub), np.array(b_ub), A_eq, [stats.t1, stats.t2], bounds
 
 
-def highs(lp, c=None):
-    """scipy HiGHS on a full_lp problem; zero objective unless c is given."""
+def highs(lp, c):
+    """scipy HiGHS on a full_lp problem with objective c."""
     A_ub, b_ub, A_eq, b_eq, bounds = lp
-    c = np.zeros(A_ub.shape[1]) if c is None else c
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     assert res.status in (0, 2)
     return res
@@ -134,23 +124,24 @@ class TestCutSemimetric:
 
 class TestBuildLP:
     """Shapes of the LP of the empty prefix: prefix_rows' rows, and the
-    equality rows that state_lp_feasible passes to the solver."""
+    equality rows that cell_bounds passes to the solver."""
 
     @staticmethod
-    def row_counts(rows, cols, solves):
+    def row_counts(rows, cols, lp_calls):
         A_ub, _, n_cells = prefix_rows(rows, cols, ())
         # triangle rows touch an apex variable, square rows only grid edges
         touches_cell = A_ub[:, :n_cells].any(axis=1)
-        assert state_lp_feasible(rows, cols, SuffStats(1, 2), ())
-        (_, A_ub_solved, _, A_eq, _), = solves
-        assert np.array_equal(A_ub_solved, A_ub)
+        assert cell_bounds(rows, cols, SuffStats(1, 2), (), 0) == CellBounds("bounded", 0, 1)
+        assert len(lp_calls) == 2  # the min and the max of the cell
+        for _, A_ub_solved, _, A_eq, _ in lp_calls:
+            assert np.array_equal(A_ub_solved, A_ub)
         return A_ub.shape, (int(touches_cell.sum()), int((~touches_cell).sum())), A_eq.shape
 
-    def test_2x2_row_counts(self, solves):
-        assert self.row_counts(2, 2, solves) == ((24, 8), (16, 8), (2, 8))
+    def test_2x2_row_counts(self, lp_calls):
+        assert self.row_counts(2, 2, lp_calls) == ((24, 8), (16, 8), (2, 8))
 
-    def test_3x3_row_counts(self, solves):
-        assert self.row_counts(3, 3, solves) == ((80, 21), (48, 32), (2, 21))
+    def test_3x3_row_counts(self, lp_calls):
+        assert self.row_counts(3, 3, lp_calls) == ((80, 21), (48, 32), (2, 21))
 
 
 class TestSolveLP:
@@ -165,18 +156,16 @@ class TestSolveLP:
         # on 1x2, t1 = 0 zeroes both cells and the triangle c <= a + b then
         # contradicts t2 = 1; each row alone is within range
         assert cell_bounds(1, 2, SuffStats(0, 1), (), 0).status == "infeasible"
-        assert not state_lp_feasible(1, 2, SuffStats(0, 1), ())
-        assert state_lp_feasible(1, 2, SuffStats(1, 1), ())
+        assert cell_bounds(1, 2, SuffStats(1, 1), (), 0) == CellBounds("bounded", 0, 1)
 
     def test_empty_fiber_detected(self):
         # triangle rows force t2 <= 2*t1 on the 2x2 grid, so (1, 3) is infeasible
-        assert not state_lp_feasible(2, 2, SuffStats(1, 3), ())
         assert cell_bounds(2, 2, SuffStats(1, 3), (), 0).status == "infeasible"
         assert sum(1 for _ in fiber_members(2, 2, SuffStats(1, 3))) == 0
 
-    def test_optimal_solution_satisfies_all_rows(self, solves):
+    def test_optimal_solution_satisfies_all_rows(self, lp_calls):
         bounds = cell_bounds(3, 3, SuffStats(3, 8), (1, 0), 5)
-        c, A_ub, b_ub, A_eq, b_eq = solves[1]  # the max of cell 5
+        c, A_ub, b_ub, A_eq, b_eq = lp_calls[1]  # the max of cell 5
         assert c[5 - 2] == -1.0 and np.array_equal(b_eq, [3 - 1, 8 - 1])
         res = solve_canonical(c, A_ub, b_ub, A_eq, b_eq)
         assert res.status == "optimal"
@@ -185,9 +174,9 @@ class TestSolveLP:
         assert (res.x >= -1e-7).all() and (res.x <= 1 + 1e-7).all()
         assert bounds.hi == int(res.x[5 - 2] + ROUND_TOL)
 
-    def test_determinism(self, solves):
+    def test_determinism(self, lp_calls):
         cell_bounds(3, 3, SuffStats(4, 8), (1, 0, 1), 7)
-        args = solves[0]  # the min of cell 7
+        args = lp_calls[0]  # the min of cell 7
         a, b = solve_canonical(*args), solve_canonical(*args)
         assert a.status == b.status and a.value == b.value
         assert np.array_equal(a.x, b.x)
@@ -292,6 +281,9 @@ class TestCutVectors:
 
 
 class TestStateFeasibility:
+    """A state's verdict: cell_bounds reports infeasible where the LP of a
+    state with a free cell has no point or its rounded interval is empty."""
+
     def test_matches_full_lp(self, fibers_3x3):
         # the verdict and the cell bounds equal HiGHS on the whole suspension LP
         rng = np.random.default_rng(2)
@@ -302,26 +294,21 @@ class TestStateFeasibility:
             cases.append((3, 3, stats, tuple(int(v) for v in rng.integers(0, 2, rng.integers(0, 10)))))
         for rows, cols in ((3, 3), (4, 4), (3, 6)):
             cases += [(rows, cols, *case) for case in seeded_prefixes(rows, cols, 40, rng)]
-        feasible = bounded = 0
+        checked = bounded = 0
         for rows, cols, stats, prefix in cases:
-            got = state_lp_feasible(rows, cols, stats, prefix)
-            assert got == (highs(full_lp(rows, cols, prefix, stats)).status == 0), (stats, prefix)
-            feasible += got
-            if len(prefix) < rows * cols:
-                cell = int(rng.integers(len(prefix), rows * cols))
-                want = highs_cell_bounds(rows, cols, prefix, stats, cell)
-                assert cell_bounds(rows, cols, stats, prefix, cell) == want, (stats, prefix, cell)
-                bounded += want.status == "bounded"
-        assert 0 < feasible < len(cases) and bounded > 60
-
-    def test_complete_state(self):
-        assert state_lp_feasible(2, 2, SuffStats(2, 4), (1, 0, 0, 1))
-        assert not state_lp_feasible(2, 2, SuffStats(2, 3), (1, 0, 0, 1))
+            if len(prefix) == rows * cols:
+                continue  # no free cell to bound
+            cell = int(rng.integers(len(prefix), rows * cols))
+            want = highs_cell_bounds(rows, cols, prefix, stats, cell)
+            assert cell_bounds(rows, cols, stats, prefix, cell) == want, (stats, prefix, cell)
+            checked += 1
+            bounded += want.status == "bounded"
+        assert 60 < bounded < checked
 
     def test_pin_argument(self):
         # the determined cell's value enters the right-hand side
-        assert state_lp_feasible(2, 2, SuffStats(4, 0), (1,))
-        assert not state_lp_feasible(2, 2, SuffStats(4, 0), (0,))
+        assert cell_bounds(2, 2, SuffStats(4, 0), (1,), 1) == CellBounds("bounded", 1, 1)
+        assert cell_bounds(2, 2, SuffStats(4, 0), (0,), 1).status == "infeasible"
 
 
 class TestStateTemplate:
@@ -389,18 +376,11 @@ class TestStateTemplate:
                         solved += 1
             assert solved >= 2, (rows, cols)
 
-    def test_complete_prefix_answers_from_counts(self, solves):
-        for cells in ((1, 0, 0, 1), (1, 1, 1, 1), (0, 0, 0, 0)):
-            stats = SuffStats.of(BinaryTable(2, 2, cells))
-            assert state_lp_feasible(2, 2, stats, cells)
-            assert not state_lp_feasible(2, 2, SuffStats(stats.t1, stats.t2 + 1), cells)
-            assert not state_lp_feasible(2, 2, SuffStats(stats.t1 + 1, stats.t2), cells)
-        assert not solves
-
 
 class TestStateVerdictsAgainstReferences:
-    """Seeded late-prefix states: the verdict equals HiGHS on the same rows, and
-    a state with a brute-force completion is never declared infeasible."""
+    """Seeded late-prefix states: the bounds of a free cell equal HiGHS on the
+    whole suspension LP, and a state with a brute-force completion is never
+    declared infeasible nor bounded past a value that its completions take."""
 
     @pytest.mark.parametrize("rows, cols", [(4, 4), (3, 6)])
     def test_late_prefix_states(self, rows, cols):
@@ -417,27 +397,30 @@ class TestStateVerdictsAgainstReferences:
                 for i in rng.integers(0, k, int(rng.integers(0, 3))):
                     prefix[i] ^= 1
                 prefix = tuple(prefix)
-                got = state_lp_feasible(rows, cols, stats, prefix)
-                if any(m[:k] == prefix for m in members):
-                    assert got, (stats, prefix)
-                edges = topology(rows, cols).edges
-                discord = sum(prefix[a] != prefix[b] for a, b in edges if max(a, b) < k)
-                r1, r2 = stats.t1 - sum(prefix), stats.t2 - discord
-                A_ub, b_ub, n_cells = prefix_rows(rows, cols, prefix)
-                n_edges = A_ub.shape[1] - n_cells
-                if not (0 <= r1 <= n_cells and 0 <= r2 <= n_edges):
-                    assert not got
-                    continue
-                ref = linprog(
-                    np.zeros(A_ub.shape[1]),
-                    A_ub=A_ub,
-                    b_ub=b_ub,
-                    A_eq=[[1] * n_cells + [0] * n_edges, [0] * n_cells + [1] * n_edges],
-                    b_eq=[r1, r2],
-                    bounds=(0, 1),
-                    method="highs",
-                )
-                assert ref.status in (0, 2)
-                assert got == (ref.status == 0), (stats, prefix)
-                verdicts.append(got)
+                cell = int(rng.integers(k, n))
+                got = cell_bounds(rows, cols, stats, prefix, cell)
+                values = {m[cell] for m in members if m[:k] == prefix}
+                if values:
+                    assert got.status == "bounded", (stats, prefix, cell)
+                    assert got.lo <= min(values) and max(values) <= got.hi
+                assert got == highs_cell_bounds(rows, cols, prefix, stats, cell), (stats, prefix, cell)
+                verdicts.append(got.status == "bounded")
         assert len(verdicts) >= 100 and 0 < sum(verdicts) < len(verdicts)
+
+
+# the modules a sampling run imports; the LP is not among them
+SAMPLING_MODULES = ("grid", "endgame", "sampler", "inference")
+
+
+def test_the_sampling_modules_import_no_lp():
+    package = Path(isingfiber.__file__).parent
+    for name in SAMPLING_MODULES:
+        imported = []
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # `from . import cutlp` names the module as an alias
+                imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        dotted = {part for full in imported for part in full.split(".")}
+        assert not dotted & {"cutlp", "simplex"}, (name, imported)

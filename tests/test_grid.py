@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isingfiber.cutlp import cell_bounds, state_lp_feasible
+from isingfiber.cutlp import cell_bounds
 from isingfiber.grid import (
     BinaryTable,
     ParseError,
@@ -166,7 +166,6 @@ SHAPE_ENTRY_POINTS = {
     "validate_for": lambda r, c: SuffStats(0, 0).validate_for(r, c),
     "collect_trials": lambda r, c: collect_trials(r, c, SuffStats(0, 0), SamplerConfig(), 1, 10),
     "cell_bounds": lambda r, c: cell_bounds(r, c, SuffStats(0, 0), (), 0),
-    "state_lp_feasible": lambda r, c: state_lp_feasible(r, c, SuffStats(0, 0), ()),
     "fiber_members": lambda r, c: list(fiber_members(r, c, SuffStats(0, 0))),
     "enumerate_fiber": lambda r, c: enumerate_fiber(r, c, SuffStats(0, 0)),
     "exact_cell_bounds": lambda r, c: exact_cell_bounds(r, c, SuffStats(0, 0), (), 0),
