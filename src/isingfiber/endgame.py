@@ -20,9 +20,8 @@ one after another in one flat uint16 array per level, and one packed uint32
 index entry per (w, r1), at (r1 << cols) + w, holds the span's offset in
 that array, lo and hi (see FIELD). `cap` is the largest value for which the
 asked cells fit in TABLE_BYTES with every count below 2^16; entries with
-r1 <= c do not depend on the cap they were built under, so one sweep over
-the counts of every candidate finds it, holding no table, and one more
-builds the table at the cap chosen.
+r1 <= c do not depend on the cap they were built under, so one loop over the
+levels runs twice: to find the cap, holding no table, then to pack the table.
 
 `row_endgame` serves every other grid, over its last min(L, cols - 1) cells.
 They lie in the last row, below determined cells, so w is the left value of
@@ -100,53 +99,6 @@ def _spans(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _cap(topo, reach: int) -> int:
-    """The largest cap for which the table over the last `reach` cells takes
-    at most TABLE_BYTES and holds no count of 2^16 or more: n where every r1
-    fits, -1 where not even r1 = 0 does. One sweep over the levels keeps the
-    rows r1 <= cap only, and lowers cap as soon as a row wraps or the rows up
-    to it have taken more than TABLE_BYTES, since later levels only add."""
-    n, size = topo.n_cells, 1 << topo.cols
-    cap = n
-    spent = np.zeros(n + 1, np.int64)  # the bytes each r1's entries take so far
-    counts = np.ones((1, size, 1), np.uint16)
-    for m in range(reach + 1):
-        if m:
-            counts, wrapped = _level(topo, n - m, counts, cap)
-            cap = min(cap, wrapped - 1)
-            counts = counts[: cap + 1]
-        lo, hi = _spans(counts)
-        spent[: len(counts)] += 4 * size + 2 * (hi - lo + 1).sum(axis=1)
-        over = np.flatnonzero(np.cumsum(spent[: len(counts)]) > TABLE_BYTES)
-        if len(over):
-            cap = int(over[0]) - 1
-            if cap < 0:
-                return cap
-            counts = counts[: cap + 1]
-    return cap
-
-
-def _table(topo, reach: int, cap: int) -> tuple:
-    """The narrow table's levels 0..reach at cap, each as (index, counts)
-    memoryviews (see the module docstring)."""
-    n = topo.n_cells
-    levels = []
-    counts = np.ones((1, 1 << topo.cols, 1), np.uint16)
-    for m in range(reach + 1):
-        if m:
-            counts = _level(topo, n - m, counts, cap)[0]
-        lo, hi = _spans(counts)
-        length = (hi - lo + 1).ravel()
-        offset = np.cumsum(length) - length
-        assert hi.max() < 1 << FIELD and length.sum() <= 1 << (32 - 2 * FIELD)
-        r2 = np.arange(counts.shape[2])
-        keep = lo[..., None] <= r2
-        keep &= r2 <= hi[..., None]
-        index = (offset << 2 * FIELD | lo.ravel() << FIELD | hi.ravel()).astype(np.uint32)
-        levels.append((memoryview(index), memoryview(counts[keep])))
-    return tuple(levels)
-
-
 def row_endgame(ups, ones: int) -> tuple[list[dict], int]:
     """The levels covering the last len(ups) cells of a row whose cells all
     have a left neighbour, and their digit width: levels[m] maps (w, r1),
@@ -184,14 +136,14 @@ def zone(rows: int, cols: int, cells: int) -> tuple[int, int, tuple | None]:
     narrow table over the last reach cells: levels[m] is (index, counts),
     whose entry at (r1 << cols) + w, for r1 <= min(cap, m), packs the offset
     of the (w, r1) row's counts in counts and the bounds lo <= hi of its
-    nonzero r2 (see FIELD and the module docstring). cap is the largest value
-    for which the table takes at most TABLE_BYTES and holds no count of 2^16
-    or more: 5 on 10x10 at 32 cells (3.78 MB), where cap 6 would hold a count
-    past 16 bits, and n, every r1, where the whole table fits, as on 3x3 and
-    4x4. Where not even cap 0 fits, the zone is empty: (-1, -1, None). On
-    every other grid, reach is min(cells, cols - 1), cap is n and table is
-    None: each trial builds a row_endgame over those cells. Cached: run_trial
-    asks for it once per trial."""
+    nonzero r2 (see FIELD and the module docstring). cap, found by _narrow's
+    first pass, is the largest for which the table takes at most TABLE_BYTES
+    and holds no count of 2^16 or more: 5 on 10x10 at 32 cells (3.78 MB),
+    where cap 6 would hold a count past 16 bits, and n, every r1, where the
+    whole table fits, as on 3x3 and 4x4. Where not even cap 0 fits, the zone
+    is empty: (-1, -1, None). On every other grid, reach is min(cells,
+    cols - 1), cap is n and table is None: each trial builds a row_endgame
+    over those cells. Cached: run_trial asks for it once per trial."""
     n = rows * cols
     if cols > MAX_COLS:
         return min(cells, cols - 1), n, None
@@ -200,9 +152,41 @@ def zone(rows: int, cols: int, cells: int) -> tuple[int, int, tuple | None]:
 
 @lru_cache(maxsize=8)
 def _narrow(rows: int, cols: int, reach: int) -> tuple[int, int, tuple | None]:
-    """zone on a grid at most MAX_COLS wide, cached by the reach."""
+    """zone on a grid at most MAX_COLS wide, cached by the reach. One loop
+    over levels 0..reach runs twice, keeping the rows r1 <= cap only and
+    lowering cap once a row wraps or the rows up to it pass TABLE_BYTES,
+    since later levels only add: first holding no table, to find the cap,
+    then at that cap, packing each level into (index, counts) memoryviews.
+    The second pass cannot lower the cap: its rows are the first pass's rows
+    r1 <= cap, where none wrapped and the bytes stayed within TABLE_BYTES."""
     topo = topology(rows, cols)
-    cap = _cap(topo, reach)
-    if cap < 0:
-        return -1, -1, None
-    return reach, cap, _table(topo, reach, cap)
+    n, size = topo.n_cells, 1 << cols
+    cap = n
+    levels = []
+    for keep in (False, True):
+        spent = np.zeros(n + 1, np.int64)  # the bytes each r1's entries take so far
+        counts = np.ones((1, size, 1), np.uint16)
+        for m in range(reach + 1):
+            if m:
+                counts, wrapped = _level(topo, n - m, counts, cap)
+                cap = min(cap, wrapped - 1)
+                counts = counts[: cap + 1]
+            lo, hi = _spans(counts)
+            length = hi - lo + 1
+            spent[: len(counts)] += 4 * size + 2 * length.sum(axis=1)
+            over = np.flatnonzero(np.cumsum(spent[: len(counts)]) > TABLE_BYTES)
+            if len(over):
+                cap = int(over[0]) - 1
+                if cap < 0:
+                    return -1, -1, None
+                counts = counts[: cap + 1]
+            if keep:
+                length = length.ravel()
+                offset = np.cumsum(length) - length
+                assert hi.max() < 1 << FIELD and length.sum() <= 1 << (32 - 2 * FIELD)
+                r2 = np.arange(counts.shape[2])
+                stored = lo[..., None] <= r2
+                stored &= r2 <= hi[..., None]
+                index = (offset << 2 * FIELD | lo.ravel() << FIELD | hi.ravel()).astype(np.uint32)
+                levels.append((memoryview(index), memoryview(counts[stored])))
+    return reach, cap, tuple(levels)

@@ -294,6 +294,8 @@ def run_exact_test(
     sequentially, and reports the importance-weighted p-value bracket for the
     chosen window statistic.
     """
+    if n_samples < 2:
+        raise ValueError(f"a test needs at least two samples, got {n_samples}")
     config = config or SamplerConfig()
     stats = SuffStats(
         t1(table) if t1_override is None else t1_override,

@@ -88,6 +88,7 @@ def _branch_terms(r1: int, rc_after: int, eff1: int, fro1: int, n_edges: int) ->
 
 
 STEP_CACHE_CELL_LIMIT = 25
+STEP_CACHE_ENTRIES = 1 << 16  # about 14 MB; 5x5 fibers would grow past 300,000
 RHO_CLAMP = 1e-3  # floor on branch probabilities; keeps q > 0 on the fiber
 
 
@@ -161,7 +162,8 @@ def _single_one_feasible(topo, cells, idx: int, v: int, f1_after: int, r2p: int)
 def new_step_cache(rows: int, cols: int) -> dict | None:
     """A fresh step cache for run_trial on grids of at most
     STEP_CACHE_CELL_LIMIT cells, where exact prefixes recur across trials;
-    None (no cache) on larger grids."""
+    None (no cache) on larger grids. run_trial stops adding entries at
+    STEP_CACHE_ENTRIES, since past 16 cells the prefixes keep growing."""
     return {} if rows * cols <= STEP_CACHE_CELL_LIMIT else None
 
 
@@ -371,7 +373,9 @@ def run_trial(
                     p1 = one_minus_eps
             if step_cache is not None:
                 lp1, lp0 = (log(p1), log(1.0 - p1)) if ok0 and ok1 else (0.0, 0.0)
-                step = step_cache[key] = (ok0, ok1, p1, lp1, lp0, r2p0, f1a0, r2p1, f1a1)
+                step = (ok0, ok1, p1, lp1, lp0, r2p0, f1a0, r2p1, f1a1)
+                if len(step_cache) < STEP_CACHE_ENTRIES:
+                    step_cache[key] = step
         else:
             ok0, ok1, p1, lp1, lp0, r2p0, f1a0, r2p1, f1a1 = step
 

@@ -236,6 +236,19 @@ class TestTest:
         assert out == ""
         assert "empty fiber sample" in err
 
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_fewer_than_two_samples_exit_one_before_sampling(
+        self, capsys, tmp_path, monkeypatch, samples
+    ):
+        import isingfiber.inference as inference
+
+        monkeypatch.setattr(inference, "collect_trials", None)  # no trial may run
+        path = tmp_path / "t.txt"
+        path.write_text("100\n010\n001\n")
+        code, out, err = run_cli(capsys, "test", str(path), "-n", samples)
+        assert code == 1
+        assert out == "" and f"at least two samples, got {samples}" in err
+
     def test_thread_count_does_not_change_output(self, capsys, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("100\n010\n001\n")

@@ -310,9 +310,10 @@ class TestZone:
         assert zone(70, 10, 700) == (-1, -1, None)
 
     def test_a_cold_build_fits_its_memory_bound(self):
-        # the cap is chosen by a sweep that holds no table, and the one
-        # build at that cap holds its table and two levels of counts: a cold
-        # zone(10, 10, 32) peaks at most 1.5 MB above what it keeps
+        # the build loop's first pass chooses the cap holding no table, and
+        # its second pass, at that cap, holds the table and two levels of
+        # counts: a cold zone(10, 10, 32) peaks at most 1.5 MB above what it
+        # keeps
         from isingfiber import endgame
 
         topology(10, 10)

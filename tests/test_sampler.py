@@ -8,6 +8,7 @@ from isingfiber.inference import collect_trials
 from isingfiber.models import IsingParams, gibbs_ising
 from isingfiber.oracle import fiber_members
 from isingfiber.sampler import (
+    STEP_CACHE_ENTRIES,
     Draw,
     OffFiberError,
     SamplerConfig,
@@ -358,6 +359,28 @@ class TestStepCache:
         assert cold == first == warm
         assert all(d.accepted for d in cold) and any(d.log_q < 0.0 for d in cold)
         assert [d.log_q.hex() for d in warm] == [d.log_q.hex() for d in cold]
+
+    def test_entries_stop_at_the_bound(self, monkeypatch):
+        # past 16 cells the prefixes keep growing: 20,000 trials on a 5x5
+        # fiber reach about 200,000 of them. The cache stops taking entries
+        # at STEP_CACHE_ENTRIES, and the outcome arrays are those of a run
+        # without it
+        import isingfiber.inference as inference
+
+        caches = []
+
+        def recorded(rows, cols):
+            caches.append(new_step_cache(rows, cols))
+            return caches[-1]
+
+        monkeypatch.setattr(inference, "new_step_cache", recorded)
+        stats = SuffStats(12, 20)
+        cached = collect_trials(5, 5, stats, CFG, seed=3, n_trials=20_000)
+        monkeypatch.setattr(inference, "new_step_cache", lambda r, c: None)
+        cold = collect_trials(5, 5, stats, CFG, seed=3, n_trials=20_000)
+        assert len(caches[0]) == STEP_CACHE_ENTRIES and cold.n_accepted > 0
+        for name in ("accepted", "log_q", "stage", "stat_u", "stat_uprime"):
+            assert getattr(cached, name).tobytes() == getattr(cold, name).tobytes(), name
 
 
 class TestSingleOne:
